@@ -134,18 +134,23 @@ def cmd_tangent(args) -> int:
     return EXIT_OK
 
 
+def _minor_table(table) -> tuple[list[str], list[dict]]:
+    """Text lines and structured entries of a minor table, numbered u_1, ..."""
+    lines, entries = [], []
+    for k, (J, d) in enumerate(table, start=1):
+        cols = [j + 1 for j in J]
+        text = format_polynomial(d)
+        lines.append(f"u_{k} {_label(cols)} = {text}")
+        entries.append({"index": k, "columns": cols, "minor": text})
+    return lines, entries
+
+
 def cmd_minors(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     table = hjac.maximal_minors(F, args.n)
-    lines = [f"{len(table)} minors"]
-    payload = []
-    for k, (J, d) in enumerate(table, start=1):
-        cols = tuple(j + 1 for j in J)
-        text = format_polynomial(d)
-        lines.append(f"u_{k} {_label(cols)} = {text}")
-        payload.append({"index": k, "columns": list(cols), "minor": text})
-    _emit(args, {"count": len(table), "minors": payload}, lines)
+    lines, entries = _minor_table(table)
+    _emit(args, {"count": len(table), "minors": entries}, [f"{len(table)} minors"] + lines)
     return EXIT_OK
 
 
@@ -153,12 +158,9 @@ def cmd_nashideal(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     table = hjac.maximal_minors(F, args.n)
-    ideal = hjac.nash_ideal(F, args.n)
+    ideal = hjac.nash_ideal(F, table)
     gens = [format_polynomial(g) for g in ideal.generators]
-    lines = [f"{len(table)} minors"]
-    for k, (J, d) in enumerate(table, start=1):
-        cols = tuple(j + 1 for j in J)
-        lines.append(f"u_{k} {_label(cols)} = {format_polynomial(d)}")
+    lines = [f"{len(table)} minors"] + _minor_table(table)[0]
     lines.append(f"nash ideal modulo <F>: {len(gens)} generators")
     lines += ["  " + g for g in gens]
     _emit(args, {"minor_count": len(table), "generators": gens}, lines)
@@ -173,34 +175,22 @@ def cmd_limits(args) -> int:
         result = limits.limit_ideal(
             F, args.n, center, style=args.order,
             max_pairs=args.max_pairs, max_reductions=args.max_reductions)
-    except hjac.SingularPointError as exc:
+    except (hjac.PointNotOnHypersurfaceError, hjac.SingularPointError) as exc:
         raise PreconditionError(str(exc)) from None
     except BudgetExceededError as exc:
         # still emit the minor table computed before the engine gave up
-        table = hjac.maximal_minors(
-            limits.translate_to_origin(F, center), args.n)
-        lines = [f"lambda size {len(table)}"]
-        for k, (J, d) in enumerate(table, start=1):
-            cols = tuple(j + 1 for j in J)
-            lines.append(f"u_{k} {_label(cols)} = {format_polynomial(d)}")
+        lines, entries = _minor_table(exc.minors)
+        lines = [f"lambda size {len(entries)}"] + lines
         lines.append(f"resource budget exceeded: {exc}")
         _emit(args, {"status": "resource-budget-exceeded",
-                     "lambda_size": len(table),
-                     "minors": [{"index": k + 1,
-                                 "columns": [j + 1 for j in J],
-                                 "minor": format_polynomial(d)}
-                                for k, (J, d) in enumerate(table)],
+                     "lambda_size": len(entries),
+                     "minors": entries,
                      "error": str(exc)}, lines)
         return EXIT_BUDGET
-    except ValueError as exc:
-        # the center is off the hypersurface
-        raise PreconditionError(str(exc)) from None
     oracle = limits.containment_oracle(result)
     gens = [format_polynomial(g) for g in result.generators]
-    lines = [f"lambda size {result.lambda_size}"]
-    for k, (J, d) in enumerate(result.minors, start=1):
-        cols = tuple(j + 1 for j in J)
-        lines.append(f"u_{k} {_label(cols)} = {format_polynomial(d)}")
+    lines, entries = _minor_table(result.minors)
+    lines = [f"lambda size {result.lambda_size}"] + lines
     lines.append(f"limit ideal ({args.order} order): {len(gens)} generators")
     lines += ["  " + g for g in gens]
     lines.append(f"containment oracle: {'pass' if oracle else 'FAIL'}")
@@ -213,10 +203,7 @@ def cmd_limits(args) -> int:
                 lines.append("  (" + ", ".join(str(c) for c in v) + ")")
     _emit(args, {"status": "ok",
                  "lambda_size": result.lambda_size,
-                 "minors": [{"index": k + 1,
-                             "columns": [j + 1 for j in J],
-                             "minor": format_polynomial(d)}
-                            for k, (J, d) in enumerate(result.minors)],
+                 "minors": entries,
                  "generators": gens,
                  "oracle": oracle,
                  "order": args.order,

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .polynomial import (
     MonomialOrder,
     Polynomial,
+    _fresh,
     elimination_order,
     grevlex,
     lex,
@@ -25,16 +25,19 @@ from .polynomial import (
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured resource cap (pairs or reduction steps) was hit."""
+    """A configured resource cap (pairs or reduction steps) was hit.
+
+    Raised from `limits.limit_ideal`, it carries the minor table computed
+    before the abort as `minors`.
+    """
 
 
-@dataclass
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with cached reduced Groebner bases.
 
-    ring: tuple[str, ...]
-    generators: tuple[Polynomial, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    Compare ideals with `ideal_equal`: `==` is identity, since equal ideals
+    can have different generators.
+    """
 
     def __init__(self, ring, generators: Iterable[Polynomial]):
         self.ring = tuple(ring)
@@ -76,18 +79,10 @@ def _content(terms: dict) -> int:
     return c
 
 
-def _to_int_terms(f: Polynomial) -> dict:
-    """Clear denominators and strip content; sign left as is."""
-    if not f.terms:
-        return {}
-    denom = 1
-    for c in f.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    terms = {m: int(c * denom) for m, c in f.terms.items()}
-    cont = _content(terms)
-    if cont > 1:
-        terms = {m: v // cont for m, v in terms.items()}
-    return terms
+def _cleared(f: Polynomial) -> tuple[dict, int]:
+    """(terms, d): integer terms equal to d * f for the least such d."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
 
 def _normalize(terms: dict, keyf) -> dict:
@@ -132,13 +127,15 @@ class _Budget:
                 raise BudgetExceededError("reduction budget exceeded")
 
 
-def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> dict:
+def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> tuple[dict, int]:
     """Full pseudo-reduction of `terms` by `basis` entries (terms, lt, lc).
 
-    Returns a scalar multiple of the true remainder, primitive-normalized.
+    Returns (remainder, scale): the remainder is `scale` times the remainder
+    of the division over Q of `terms` by the same divisors in the same order.
     """
     work = dict(terms)
     remainder: dict = {}
+    scale = 1
     while work:
         budget.step()
         lt = max(work, key=keyf)
@@ -153,6 +150,7 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> d
                         a, b = -a, -b
                     work = {m: v * a for m, v in work.items()}
                     remainder = {m: v * a for m, v in remainder.items()}
+                    scale *= a
                 shift = _mono_sub(lt, g_lt)
                 for m, v in g_terms.items():
                     if m == g_lt:
@@ -166,7 +164,7 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> d
                 break
         else:
             remainder[lt] = c
-    return _normalize(remainder, keyf)
+    return remainder, scale
 
 
 def _spoly_int(f: tuple, g: tuple) -> dict:
@@ -222,7 +220,7 @@ def buchberger(
     basis: list[tuple] = []
     seen = set()
     for g in generators:
-        terms = _normalize(_to_int_terms(g), keyf)
+        terms = _normalize(_cleared(g)[0], keyf)
         if terms:
             fs = frozenset(terms.items())
             if fs not in seen:
@@ -268,7 +266,7 @@ def buchberger(
             if processed > max_pairs:
                 raise BudgetExceededError("pair budget exceeded")
         s = _spoly_int(basis[i], basis[j])
-        r = _reduce_int(s, basis, keyf, budget)
+        r = _normalize(_reduce_int(s, basis, keyf, budget)[0], keyf)
         if r:
             basis.append(_entry(r, keyf))
             new = len(basis) - 1
@@ -292,8 +290,8 @@ def _reduced_from_int(basis: list[tuple], keyf, ring) -> list[Polynomial]:
     reduced = []
     for i, entry in enumerate(kept):
         others = [e for j, e in enumerate(kept) if j != i]
-        r = _reduce_int(dict(entry[0]), others, keyf, budget) if others else entry[0]
-        reduced.append(r)
+        r = _reduce_int(entry[0], others, keyf, budget)[0] if others else entry[0]
+        reduced.append(_normalize(r, keyf))
     out = []
     for terms in reduced:
         lt = max(terms, key=keyf)
@@ -313,36 +311,11 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | N
     if order is None:
         order = grevlex()
     keyf = order.key_func(f.ring)
-    divisors = []
-    for g in G:
-        if g.is_zero():
-            continue
-        if g.ring != f.ring:
-            g = g.to_ring(f.ring)
-        lt = max(g.terms, key=keyf)
-        divisors.append((g, lt, g.terms[lt]))
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        lt = max(work, key=keyf)
-        c = work.pop(lt)
-        for g, g_lt, g_lc in divisors:
-            if _divides(g_lt, lt):
-                factor = c / g_lc
-                shift = _mono_sub(lt, g_lt)
-                for m, v in g.terms.items():
-                    if m == g_lt:
-                        continue
-                    mm = _mono_mul(m, shift)
-                    acc = work.get(mm, Fraction(0)) - factor * v
-                    if acc:
-                        work[mm] = acc
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            remainder[lt] = c
-    return Polynomial(f.ring, remainder)
+    divisors = [_entry(_normalize(_cleared(g.to_ring(f.ring))[0], keyf), keyf)
+                for g in G if not g.is_zero()]
+    terms, denom = _cleared(f)
+    remainder, scale = _reduce_int(terms, divisors, keyf, _Budget(None))
+    return Polynomial(f.ring, {m: Fraction(v, denom * scale) for m, v in remainder.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
@@ -422,15 +395,6 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None, **budget
     return list(bi) == list(bj)
 
 
-def _fresh_variable(ring: tuple[str, ...]) -> str:
-    name = "w_rad"
-    k = 0
-    while name in ring:
-        name = f"w_rad{k}"
-        k += 1
-    return name
-
-
 def radical_membership(f: Polynomial, I: Ideal, **budget) -> bool:
     """True iff f vanishes on V(I), via the Rabinowitsch trick:
     f in sqrt(I) iff 1 in <I, 1 - w*f> for a fresh variable w."""
@@ -438,7 +402,7 @@ def radical_membership(f: Polynomial, I: Ideal, **budget) -> bool:
         f = f.to_ring(I.ring)
     if f.is_zero():
         return True
-    w = _fresh_variable(I.ring)
+    w = _fresh("w_rad", I.ring)
     ext = I.ring + (w,)
     gens = [g.to_ring(ext) for g in I.generators]
     fw = f.to_ring(ext) * Polynomial.variable(ext, w)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import multiindex as mi
+from .hjac import PointNotOnHypersurfaceError
+from .limits import translate_to_origin
 from .polynomial import Polynomial, grevlex, make_point
 
 
@@ -65,13 +67,8 @@ def local_hilbert(F: Polynomial, n: int) -> int:
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
     """Dimension criterion: p is non-singular iff
     dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1."""
-    point = make_point(point)
     if F.evaluate(point) != 0:
-        raise ValueError("point is not on the hypersurface")
-    s = F.num_vars
-    shifted = F.substitute({
-        name: Polynomial.variable(F.ring, name) + Polynomial.constant(F.ring, c)
-        for name, c in zip(F.ring, point)
-    })
+        raise PointNotOnHypersurfaceError("point is not on the hypersurface")
+    shifted = translate_to_origin(F, point)
     total = sum(local_hilbert(shifted, k) for k in range(1, n + 1))
-    return total == math.comb(n + s - 1, s - 1) - 1
+    return total == math.comb(n + F.num_vars - 1, F.num_vars - 1) - 1

@@ -131,12 +131,14 @@ def dim_Tn(F: Polynomial, n: int, point) -> int:
 
 def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
     """Kernel basis of the evaluated matrix at a non-singular point."""
-    if is_singular(F, n, point):
+    matrix = evaluate_at(build(F, n), point)
+    basis = linalg.kernel_basis(matrix, width=len(matrix[0]))
+    M, C = shape(F.num_vars, n)
+    if C - len(basis) < M:
         raise SingularPointError(
             "the kernel identifies the higher tangent space only at non-singular points"
         )
-    matrix = evaluate_at(build(F, n), point)
-    return linalg.kernel_basis(matrix, width=len(matrix[0]))
+    return basis
 
 
 # -- determinants and minors ---------------------------------------------------
@@ -239,17 +241,17 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     return [(J, acc.get(J, zero)) for J in combinations(range(C), M)]
 
 
-def nash_ideal(F: Polynomial, n: int) -> Ideal:
+def nash_ideal(F: Polynomial, minors: Sequence[tuple[tuple[int, ...], Polynomial]]) -> Ideal:
     """The ideal generated by the maximal minors, reduced modulo <F>.
 
-    Generators are the nonzero normal forms of the minors w.r.t. {F} under
-    grevlex, with duplicates dropped; F is assumed irreducible (documented
-    precondition, not verified).
+    `minors` is the table `maximal_minors(F, n)`.  Generators are the nonzero
+    normal forms of the minors w.r.t. {F} under grevlex, with duplicates
+    dropped; F is assumed irreducible (documented precondition, not verified).
     """
     order = grevlex()
     gens: list[Polynomial] = []
     seen = set()
-    for _, minor in maximal_minors(F, n):
+    for _, minor in minors:
         if minor.is_zero():
             continue
         nf = normal_form(minor, [F], order)

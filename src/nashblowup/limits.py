@@ -16,10 +16,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .groebner import Ideal, buchberger, normal_form
-from .hjac import SingularPointError, is_singular, maximal_minors
+from .groebner import BudgetExceededError, Ideal, buchberger, normal_form
+from .hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
 from .polynomial import (
     Polynomial,
+    _fresh,
     block_order,
     grevlex,
     lex,
@@ -29,15 +30,6 @@ from .polynomial import (
 
 class NotDecomposableError(ValueError):
     """The vector is not a valid Plucker vector of any subspace."""
-
-
-def _fresh(name: str, taken) -> str:
-    candidate = name
-    k = 0
-    while candidate in taken:
-        candidate = f"{name}_{k}"
-        k += 1
-    return candidate
 
 
 @dataclass(frozen=True)
@@ -70,11 +62,12 @@ def translate_to_origin(F: Polynomial, center) -> Polynomial:
 def _graph_ideal_data(F: Polynomial, n: int, center):
     center = make_point(center)
     if F.evaluate(center) != 0:
-        raise ValueError("center is not on the hypersurface")
-    if not is_singular(F, n, center):
-        raise SingularPointError("limits of higher tangent spaces are computed at singular centers")
+        raise PointNotOnHypersurfaceError("center is not on the hypersurface")
     shifted = translate_to_origin(F, center)
-    minors = maximal_minors(shifted, n)
+    minors = tuple(maximal_minors(shifted, n))
+    # the center is singular iff every maximal minor vanishes there
+    if any(delta.constant_term() for _, delta in minors):
+        raise SingularPointError("limits of higher tangent spaces are computed at singular centers")
     lam = len(minors)
     tname = _fresh("t", F.ring)
     unames = tuple(_fresh(f"u_{k}", F.ring) for k in range(1, lam + 1))
@@ -83,12 +76,12 @@ def _graph_ideal_data(F: Polynomial, n: int, center):
     gens = [shifted.to_ring(ring_a)]
     for (_, delta), uname in zip(minors, unames):
         gens.append(Polynomial.variable(ring_a, uname) - t * delta.to_ring(ring_a))
-    return center, shifted, minors, ring_a, tname, unames, gens
+    return center, minors, ring_a, tname, unames, gens
 
 
 def build_graph_ideal(F: Polynomial, n: int, center) -> Ideal:
     """A = <F(x+center), u_J - t*Delta_J(x+center)> in the ring (t, x, u)."""
-    _, _, _, ring_a, _, _, gens = _graph_ideal_data(F, n, center)
+    _, _, ring_a, _, _, gens = _graph_ideal_data(F, n, center)
     return Ideal(ring_a, gens)
 
 
@@ -102,7 +95,7 @@ def limit_ideal(
 ) -> LimitIdealResult:
     """Eliminate t from A, restrict to Q[x, u], set x = 0, and return the
     limit-space ideal in the u variables (as a reduced basis)."""
-    center, shifted, minors, ring_a, tname, unames, gens = _graph_ideal_data(F, n, center)
+    center, minors, ring_a, tname, unames, gens = _graph_ideal_data(F, n, center)
     if style == "block":
         order = block_order(
             ((tname,), grevlex()),
@@ -113,11 +106,15 @@ def limit_ideal(
         order = lex(*ring_a)
     else:
         raise ValueError(f"unknown elimination style {style!r}")
-    basis = buchberger(gens, order, ring_a, max_pairs=max_pairs, max_reductions=max_reductions)
+    try:
+        basis = buchberger(gens, order, ring_a,
+                           max_pairs=max_pairs, max_reductions=max_reductions)
+    except BudgetExceededError as exc:
+        exc.minors = minors
+        raise
 
     t_idx = ring_a.index(tname)
-    x_idx = [ring_a.index(v) for v in F.ring]
-    zero_x = {v: Polynomial.zero(ring_a) for v in F.ring}
+    zero_x = {v: 0 for v in F.ring}
     projected: list[Polynomial] = []
     for g in basis:
         if any(m[t_idx] for m in g.terms):
@@ -133,7 +130,7 @@ def limit_ideal(
         n=n,
         center=center,
         lambda_size=len(minors),
-        minors=tuple(minors),
+        minors=minors,
         generators=tuple(reduced),
         order_used=style,
         planes=planes,
@@ -143,33 +140,12 @@ def limit_ideal(
 def substitute_minor_variables(g: Polynomial, result: LimitIdealResult) -> Polynomial:
     """Map u_J -> t * Delta_J(x + center) inside g; the result lives in the
     ring (t, x)."""
-    f_ring = result.F.ring
-    tname = _fresh("t", f_ring)
-    ring_xt = (tname,) + f_ring
-    t = Polynomial.variable(ring_xt, tname)
-    u_ring = g.ring
-    images = {}
-    for uname, (_, delta) in zip(result.u_ring, result.minors):
-        if uname in u_ring:
-            images[uname] = t * delta.to_ring(ring_xt)
-    for name in f_ring:
-        if name in u_ring:
-            images[name] = Polynomial.variable(ring_xt, name)
-    out = Polynomial.zero(ring_xt)
-    for mono, coeff in g.terms.items():
-        term = Polynomial.constant(ring_xt, coeff)
-        for name, e in zip(u_ring, mono):
-            if e:
-                term = term * images[name] ** e
-        out = out + term
-    return out
-
-
-def _shifted_F_in_xt(result: LimitIdealResult) -> Polynomial:
-    f_ring = result.F.ring
-    tname = _fresh("t", f_ring)
-    ring_xt = (tname,) + f_ring
-    return translate_to_origin(result.F, result.center).to_ring(ring_xt)
+    ring_xt = (_fresh("t", result.F.ring),) + result.F.ring
+    ring = ring_xt + tuple(v for v in g.ring if v not in ring_xt)
+    t = Polynomial.variable(ring, ring_xt[0])
+    images = {uname: t * delta.to_ring(ring)
+              for uname, (_, delta) in zip(result.u_ring, result.minors) if uname in g.ring}
+    return g.to_ring(ring).substitute(images).to_ring(ring_xt)
 
 
 def containment_oracle(result: LimitIdealResult) -> bool:
@@ -178,14 +154,10 @@ def containment_oracle(result: LimitIdealResult) -> bool:
     the (translated) hypersurface equation, and demand the result vanish at
     x = 0.  A constant obstruction (a generator not even in A + <x>) fails.
     """
-    if not result.generators:
-        return True
-    Ft = _shifted_F_in_xt(result)
-    f_ring = result.F.ring
+    shifted = translate_to_origin(result.F, result.center)
     for g in result.generators:
-        image = substitute_minor_variables(g, result)
-        reduced = normal_form(image, [Ft], grevlex())
-        at_zero = reduced.substitute({v: Polynomial.zero(reduced.ring) for v in f_ring})
+        reduced = normal_form(substitute_minor_variables(g, result), [shifted], grevlex())
+        at_zero = reduced.substitute({v: 0 for v in shifted.ring})
         if not at_zero.is_zero():
             return False
     return True
@@ -195,12 +167,9 @@ def elimination_stage_oracle(result: LimitIdealResult, xu_generators) -> bool:
     """Strict containment check for basis elements of A intersected with
     Q[x, u] (before x is set to 0): after u_J -> t*Delta_J each must reduce
     to 0 modulo the hypersurface equation alone."""
-    Ft = _shifted_F_in_xt(result)
-    for g in xu_generators:
-        image = substitute_minor_variables(g, result)
-        if not normal_form(image, [Ft], grevlex()).is_zero():
-            return False
-    return True
+    shifted = translate_to_origin(result.F, result.center)
+    return all(normal_form(substitute_minor_variables(g, result), [shifted], grevlex()).is_zero()
+               for g in xu_generators)
 
 
 # -- Plucker coordinates -------------------------------------------------------
@@ -221,33 +190,8 @@ def _antisymmetric_lookup(v, index_of: dict, idx: tuple[int, ...]) -> Fraction:
 def pluecker_coordinates(basis: list[list[Fraction]]) -> list[Fraction]:
     """All maximal minors of the matrix with the given rows, in ascending
     lexicographic order of the column tuple."""
-    m = len(basis)
-    d = len(basis[0])
-    out = []
-    for J in combinations(range(d), m):
-        rows = [[Fraction(basis[i][j]) for j in J] for i in range(m)]
-        out.append(_det_fraction(rows))
-    return out
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
+    return [linalg.det([[row[j] for j in J] for row in basis])
+            for J in combinations(range(len(basis[0])), len(basis))]
 
 
 def pluecker_reconstruct(v, m: int, ambient_dim: int) -> list[list[Fraction]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 Vector = list[Fraction]
@@ -14,19 +14,19 @@ def _as_fraction_matrix(rows) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on cleared rows."""
-    if not rows:
-        return 0
+def _bareiss(rows: Sequence[Sequence]) -> tuple[int, Fraction]:
+    """Fraction-free (Bareiss) elimination on the rows cleared of
+    denominators: (rank, determinant), the latter 0 unless square."""
     work: list[list[int]] = []
+    scale = 1
     for row in rows:
         frs = [Fraction(x) for x in row]
-        denom = 1
-        for c in frs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        work.append([int(c * denom) for c in frs])
+        denom = lcm(*(c.denominator for c in frs))
+        scale *= denom
+        work.append([c.numerator * (denom // c.denominator) for c in frs])
     m, n = len(work), len(work[0])
     prev = 1
+    sign = 1
     r = 0
     col = 0
     while r < m and col < n:
@@ -34,7 +34,9 @@ def rank(rows: Sequence[Sequence]) -> int:
         if pivot is None:
             col += 1
             continue
-        work[r], work[pivot] = work[pivot], work[r]
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
         for i in range(r + 1, m):
             for j in range(col + 1, n):
                 work[i][j] = (work[r][col] * work[i][j] - work[i][col] * work[r][j]) // prev
@@ -42,7 +44,19 @@ def rank(rows: Sequence[Sequence]) -> int:
         prev = work[r][col]
         r += 1
         col += 1
-    return r
+    return r, Fraction(sign * prev, scale) if r == m == n else Fraction(0)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank via fraction-free (Bareiss) elimination on cleared rows."""
+    return _bareiss(rows)[0] if rows else 0
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a nonempty square matrix over Q."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix is not square")
+    return _bareiss(rows)[1]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:

@@ -35,6 +35,16 @@ def make_point(coords: Iterable) -> Point:
     return tuple(_coerce_scalar(c) for c in coords)
 
 
+def _fresh(name: str, taken) -> str:
+    """`name`, or `name_0`, `name_1`, ...: the first one not in `taken`."""
+    candidate = name
+    k = 0
+    while candidate in taken:
+        candidate = f"{name}_{k}"
+        k += 1
+    return candidate
+
+
 class Polynomial:
     """An element of Q[x_1, ..., x_s], stored sparsely."""
 

@@ -153,6 +153,18 @@ def test_limits_center_off_surface(capsys):
     assert code == 3
 
 
+def test_limits_order_zero_is_input_error(capsys):
+    # like jac -n 0 and singular -n 0; an off-surface center still wins
+    code, out, err = run(capsys, "limits", "--poly", "x^3-y^2",
+                         "--vars", "x,y", "-n", "0", "--point", "0,0")
+    assert code == 2
+    assert out == "" and err == "input error: order must be >= 1, got 0\n"
+    code, _, err = run(capsys, "limits", "--poly", "x^3-y^2",
+                       "--vars", "x,y", "-n", "0", "--point", "1,3")
+    assert code == 3
+    assert err == "precondition violation: center is not on the hypersurface\n"
+
+
 def test_limits_budget_abort_still_prints_minors(capsys):
     code, payload, _ = run_json(capsys, "limits", "--poly", "x^3-y^2",
                                 "--vars", "x,y", "-n", "2", "--point", "0,0",

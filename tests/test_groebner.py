@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup.groebner import (
     BudgetExceededError,
@@ -51,6 +54,40 @@ def test_normal_form_zero_and_empty():
     assert normal_form(Polynomial.zero(RING2), [], grevlex()).is_zero()
     f = P("x + 1", RING2)
     assert normal_form(f, [], grevlex()) == f
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+def polynomials(ring, max_exp, constant=True):
+    monomials = st.tuples(*[st.integers(0, max_exp)] * len(ring))
+    if not constant:
+        monomials = monomials.filter(any)
+    return st.dictionaries(monomials, rationals(), min_size=1, max_size=4).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+def as_sympy(f, symbols):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[v ** e for v, e in zip(symbols, m)])
+                for m, c in f.terms.items()), sympy.Integer(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=polynomials(RING3, 3),
+       gens=st.lists(polynomials(RING2, 2, constant=False), min_size=1, max_size=2),
+       scales=st.lists(st.sampled_from([2, -3, Fraction(5, 2), Fraction(-1, 3)]),
+                       min_size=1, max_size=3))
+def test_normal_form_matches_sympy(f, gens, scales):
+    # a reduced basis of an ideal of Q[x, y], leading coefficients made
+    # other than 1, divides f in Q[x, y, z]: the remainder is unique
+    basis = [g.scalar_mul(c) for g, c in
+             zip(buchberger(gens, grevlex(), RING2), itertools.cycle(scales))]
+    symbols = sympy.symbols(RING3)
+    _, expected = sympy.reduced(as_sympy(f, symbols), [as_sympy(g, symbols) for g in basis],
+                                *symbols, order="grevlex")
+    assert sympy.expand(as_sympy(normal_form(f, basis, grevlex()), symbols) - expected) == 0
 
 
 # -- s-polynomials -----------------------------------------------------------

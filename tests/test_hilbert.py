@@ -6,7 +6,7 @@ import pytest
 
 from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert, \
     nonsingular_by_dimension
-from nashblowup.hjac import is_singular, rank_at, shape
+from nashblowup.hjac import PointNotOnHypersurfaceError, is_singular, rank_at, shape
 from nashblowup.polynomial import Polynomial
 
 from conftest import P
@@ -119,7 +119,7 @@ def test_nonsingular_by_dimension_fixtures():
     assert not nonsingular_by_dimension(F, 2, (0, 0))
     assert nonsingular_by_dimension(F, 2, (1, 1))
     assert not nonsingular_by_dimension(F, 1, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(PointNotOnHypersurfaceError):
         nonsingular_by_dimension(F, 2, (1, 2))
 
 

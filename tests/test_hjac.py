@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nashblowup import linalg
 from nashblowup import multiindex as mi
 from nashblowup.groebner import Ideal, ideal_equal, normal_form
 from nashblowup.hjac import (
@@ -193,6 +194,16 @@ def test_tangent_space_fixtures():
     assert hyper == [[0, 1, 0], [0, 0, 1]]
 
 
+def test_tangent_space_checks_the_point_before_any_rank(monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("rank taken before the point was checked")
+
+    for name in ("rank", "rref", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, no_rank)
+    with pytest.raises(PointNotOnHypersurfaceError):
+        tangent_space(P(CUSP, RING2), 2, (1, 2))
+
+
 def cusp_points(count=25):
     return [(Fraction(t) ** 2, Fraction(t) ** 3)
             for t in list(range(-count // 2, 0)) + list(range(1, count // 2 + 2))]
@@ -372,20 +383,21 @@ def closed_form(p, q, ring):
 @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (4, 5)])
 def test_nash_ideal_closed_form(p, q):
     F = P(f"y^{p} - x^{q}", RING2)
-    computed = nash_ideal(F, 2)
+    computed = nash_ideal(F, maximal_minors(F, 2))
     expected = Ideal(RING2, closed_form(p, q, RING2) + [F])
     assert ideal_equal(Ideal(RING2, list(computed.generators) + [F]), expected)
 
 
 def test_nash_ideal_nonsingular_hyperplane():
-    I = nash_ideal(P("x", RING2), 2)
+    F = P("x", RING2)
+    I = nash_ideal(F, maximal_minors(F, 2))
     # some minor is a nonzero constant, so the ideal is the unit ideal
     assert any(g.is_constant() and not g.is_zero() for g in I.generators)
 
 
 def test_nash_ideal_generators_are_reduced_mod_F():
     F = P(CUSP, RING2)
-    I = nash_ideal(F, 2)
+    I = nash_ideal(F, maximal_minors(F, 2))
     order = grevlex()
     for g in I.generators:
         assert normal_form(g, [F], order) == g

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal
-from nashblowup.hjac import SingularPointError
+from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
 from nashblowup.limits import (
     NotDecomposableError,
     annihilator,
@@ -58,7 +58,7 @@ def test_graph_ideal_shape():
 
 
 def test_center_must_be_on_hypersurface():
-    with pytest.raises(ValueError):
+    with pytest.raises(PointNotOnHypersurfaceError):
         limit_ideal(P(CUSP, RING2), 2, (1, 2))
 
 
@@ -70,6 +70,13 @@ def test_center_must_be_singular():
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=1)
+
+
+def test_budget_abort_carries_the_minor_table():
+    F = translate_to_origin(P(CUSP, RING2), (-1, 1))
+    with pytest.raises(BudgetExceededError) as info:
+        limit_ideal(F, 2, (1, -1), max_reductions=1)
+    assert info.value.minors == tuple(maximal_minors(P(CUSP, RING2), 2))
 
 
 def test_translate_to_origin():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,17 @@ def test_kernel_empty_matrix_needs_width():
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def test_det_fixtures():
+    assert linalg.det([[Fraction(1, 2)]]) == Fraction(1, 2)
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[1, 2], [2, 4]]) == 0
+    assert linalg.det([[0, 0, 1], [0, 2, 0], [Fraction(1, 3), 0, 0]]) == Fraction(-2, 3)
+    with pytest.raises(ValueError):
+        linalg.det([[1, 2]])
+    with pytest.raises(ValueError):
+        linalg.det([])
+
+
 def matrix_strategy():
     dims = st.tuples(st.integers(1, 4), st.integers(1, 4))
     return dims.flatmap(lambda d: st.lists(
@@ -65,3 +77,13 @@ def test_rref_consistent_with_rank(rows):
         for i in range(len(R)):
             if i != r:
                 assert R[i][p] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+             min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_matches_sympy(rows):
+    assert linalg.det(rows) == Fraction(str(sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]).det()))
