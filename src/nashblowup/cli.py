@@ -158,7 +158,7 @@ def cmd_nashideal(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     table = hjac.maximal_minors(F, args.n)
-    ideal = hjac.nash_ideal(F, table)
+    ideal = hjac.nash_ideal(F, args.n)
     gens = [format_polynomial(g) for g in ideal.generators]
     lines = [f"{len(table)} minors"] + _minor_table(table)[0]
     lines.append(f"nash ideal modulo <F>: {len(gens)} generators")

@@ -241,17 +241,17 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     return [(J, acc.get(J, zero)) for J in combinations(range(C), M)]
 
 
-def nash_ideal(F: Polynomial, minors: Sequence[tuple[tuple[int, ...], Polynomial]]) -> Ideal:
+def nash_ideal(F: Polynomial, n: int) -> Ideal:
     """The ideal generated by the maximal minors, reduced modulo <F>.
 
-    `minors` is the table `maximal_minors(F, n)`.  Generators are the nonzero
-    normal forms of the minors w.r.t. {F} under grevlex, with duplicates
-    dropped; F is assumed irreducible (documented precondition, not verified).
+    Generators are the nonzero normal forms of the minors w.r.t. {F} under
+    grevlex, with duplicates dropped; F is assumed irreducible (documented
+    precondition, not verified).
     """
     order = grevlex()
     gens: list[Polynomial] = []
     seen = set()
-    for _, minor in minors:
+    for _, minor in maximal_minors(F, n):
         if minor.is_zero():
             continue
         nf = normal_form(minor, [F], order)

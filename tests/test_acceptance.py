@@ -218,7 +218,7 @@ def test_criterion_6_nash_ideal_family():
     with criterion(6, "nash ideal closed form for (p,q) in {(2,3),(2,5),(3,4),(4,5)}"):
         for p, q in ((2, 3), (2, 5), (3, 4), (4, 5)):
             F = P(f"y^{p} - x^{q}", RING2)
-            computed = hjac.nash_ideal(F, hjac.maximal_minors(F, 2))
+            computed = hjac.nash_ideal(F, 2)
             if p in (2, 3):
                 closed = [f"x^{q-2}*y^{2*p-2}", f"y^{3*p-3}"]
             else:
@@ -244,7 +244,7 @@ def test_criterion_7_singular_locus():
             partials = first_partials(F)
             classical = Ideal(ring, [F] + partials)
             for n in (2, 3):
-                J = hjac.nash_ideal(F, hjac.maximal_minors(F, n))
+                J = hjac.nash_ideal(F, n)
                 higher = Ideal(ring, [F] + list(J.generators))
                 for d in partials:
                     assert radical_membership(d, higher), (text, n)
