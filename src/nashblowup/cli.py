@@ -73,12 +73,14 @@ def _order_from_name(name: str):
         raise InputError(f"unknown order {name!r}") from None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload as JSON, or the lines that `text_lines()` builds;
+    text is built only when it is printed."""
     if args.format == "structured":
         payload = {"schema": SCHEMA_VERSION, "command": args.command, **payload}
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -91,14 +93,13 @@ def cmd_jac(args) -> int:
     F = _parse_poly(args.poly, names)
     jac = hjac.build(F, args.n)
     rows = [[format_polynomial(e) for e in row] for row in jac.entries]
-    lines = [f"Jac_{args.n}: {jac.num_rows} x {jac.num_cols}",
-             "columns: " + " ".join(_label(a) for a in jac.col_labels)]
-    for beta, row in zip(jac.row_labels, rows):
-        lines.append(_label(beta) + " | " + "  ".join(row))
     _emit(args, {"n": args.n,
                  "row_labels": [list(b) for b in jac.row_labels],
                  "col_labels": [list(a) for a in jac.col_labels],
-                 "rows": rows}, lines)
+                 "rows": rows},
+          lambda: [f"Jac_{args.n}: {jac.num_rows} x {jac.num_cols}",
+                   "columns: " + " ".join(_label(a) for a in jac.col_labels),
+                   *(_label(b) + " | " + "  ".join(row) for b, row in zip(jac.row_labels, rows))])
     return EXIT_OK
 
 
@@ -113,7 +114,7 @@ def cmd_singular(args) -> int:
     M, _ = hjac.shape(len(names), args.n)
     verdict = "singular" if rank < M else "non-singular"
     _emit(args, {"rank": rank, "full_rank": M, "verdict": verdict},
-          [f"rank {rank} of {M}: {verdict}"])
+          lambda: [f"rank {rank} of {M}: {verdict}"])
     return EXIT_OK
 
 
@@ -127,30 +128,33 @@ def cmd_tangent(args) -> int:
         raise PreconditionError(str(exc)) from None
     except hjac.SingularPointError as exc:
         raise PreconditionError(str(exc)) from None
-    lines = [f"dim T^{args.n} = {len(basis)}"]
-    lines += ["(" + ", ".join(str(c) for c in v) + ")" for v in basis]
     _emit(args, {"dim": len(basis),
-                 "basis": [[str(c) for c in v] for v in basis]}, lines)
+                 "basis": [[str(c) for c in v] for v in basis]},
+          lambda: [f"dim T^{args.n} = {len(basis)}"] + [_vector(v) for v in basis])
     return EXIT_OK
 
 
-def _minor_table(table) -> tuple[list[str], list[dict]]:
-    """Text lines and structured entries of a minor table, numbered u_1, ..."""
-    lines, entries = [], []
-    for k, (J, d) in enumerate(table, start=1):
-        cols = [j + 1 for j in J]
-        text = format_polynomial(d)
-        lines.append(f"u_{k} {_label(cols)} = {text}")
-        entries.append({"index": k, "columns": cols, "minor": text})
-    return lines, entries
+def _vector(v) -> str:
+    return "(" + ", ".join(str(c) for c in v) + ")"
+
+
+def _minor_entries(table) -> list[dict]:
+    """Structured entries of a minor table, numbered u_1, ..."""
+    return [{"index": k, "columns": [j + 1 for j in J], "minor": format_polynomial(d)}
+            for k, (J, d) in enumerate(table, start=1)]
+
+
+def _minor_lines(entries) -> list[str]:
+    return [f"u_{e['index']} {_label(e['columns'])} = {e['minor']}" for e in entries]
 
 
 def cmd_minors(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     table = hjac.maximal_minors(F, args.n)
-    lines, entries = _minor_table(table)
-    _emit(args, {"count": len(table), "minors": entries}, [f"{len(table)} minors"] + lines)
+    entries = _minor_entries(table)
+    _emit(args, {"count": len(table), "minors": entries},
+          lambda: [f"{len(table)} minors"] + _minor_lines(entries))
     return EXIT_OK
 
 
@@ -160,10 +164,9 @@ def cmd_nashideal(args) -> int:
     table = hjac.maximal_minors(F, args.n)
     ideal = hjac.nash_ideal(F, args.n)
     gens = [format_polynomial(g) for g in ideal.generators]
-    lines = [f"{len(table)} minors"] + _minor_table(table)[0]
-    lines.append(f"nash ideal modulo <F>: {len(gens)} generators")
-    lines += ["  " + g for g in gens]
-    _emit(args, {"minor_count": len(table), "generators": gens}, lines)
+    _emit(args, {"minor_count": len(table), "generators": gens},
+          lambda: [f"{len(table)} minors", *_minor_lines(_minor_entries(table)),
+                   f"nash ideal modulo <F>: {len(gens)} generators", *("  " + g for g in gens)])
     return EXIT_OK
 
 
@@ -179,28 +182,32 @@ def cmd_limits(args) -> int:
         raise PreconditionError(str(exc)) from None
     except BudgetExceededError as exc:
         # still emit the minor table computed before the engine gave up
-        lines, entries = _minor_table(exc.minors)
-        lines = [f"lambda size {len(entries)}"] + lines
-        lines.append(f"resource budget exceeded: {exc}")
+        entries = _minor_entries(exc.minors)
         _emit(args, {"status": "resource-budget-exceeded",
                      "lambda_size": len(entries),
                      "minors": entries,
-                     "error": str(exc)}, lines)
+                     "error": str(exc)},
+              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries),
+                       f"resource budget exceeded: {exc}"])
         return EXIT_BUDGET
     oracle = limits.containment_oracle(result)
     gens = [format_polynomial(g) for g in result.generators]
-    lines, entries = _minor_table(result.minors)
-    lines = [f"lambda size {result.lambda_size}"] + lines
-    lines.append(f"limit ideal ({args.order} order): {len(gens)} generators")
-    lines += ["  " + g for g in gens]
-    lines.append(f"containment oracle: {'pass' if oracle else 'FAIL'}")
-    if result.planes is None:
-        lines.append("planes: not reported (generators outside supported patterns)")
-    else:
-        lines.append(f"planes: {len(result.planes)}")
-        for plane in result.planes:
-            for v in plane:
-                lines.append("  (" + ", ".join(str(c) for c in v) + ")")
+    entries = _minor_entries(result.minors)
+
+    def lines():
+        yield f"lambda size {result.lambda_size}"
+        yield from _minor_lines(entries)
+        yield f"limit ideal ({args.order} order): {len(gens)} generators"
+        yield from ("  " + g for g in gens)
+        yield f"containment oracle: {'pass' if oracle else 'FAIL'}"
+        if result.planes is None:
+            yield "planes: not reported (generators outside supported patterns)"
+        else:
+            yield f"planes: {len(result.planes)}"
+            for plane in result.planes:
+                for v in plane:
+                    yield "  " + _vector(v)
+
     _emit(args, {"status": "ok",
                  "lambda_size": result.lambda_size,
                  "minors": entries,
@@ -245,7 +252,7 @@ def cmd_hilbert(args) -> int:
             value = hilbert_mod.local_hilbert(F, args.n)
         except ValueError as exc:
             raise PreconditionError(str(exc)) from None
-    _emit(args, {"n": args.n, "dim": value}, [str(value)])
+    _emit(args, {"n": args.n, "dim": value}, lambda: [str(value)])
     return EXIT_OK
 
 
@@ -264,7 +271,7 @@ def cmd_gb(args) -> int:
                        max_reductions=args.max_reductions)
     out = [format_polynomial(g) for g in basis]
     _emit(args, {"order": args.order, "basis": out},
-          [f"reduced basis ({args.order}): {len(out)} elements"] +
+          lambda: [f"reduced basis ({args.order}): {len(out)} elements"] +
           ["  " + g for g in out])
     return EXIT_OK
 

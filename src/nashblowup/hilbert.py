@@ -58,7 +58,7 @@ def local_hilbert(F: Polynomial, n: int) -> int:
         raise ValueError("F must be nonzero")
     origin = make_point([0] * F.num_vars)
     if F.evaluate(origin) != 0:
-        raise ValueError("F(0) != 0: the origin is not on the hypersurface")
+        raise PointNotOnHypersurfaceError("F(0) != 0: the origin is not on the hypersurface")
     f0 = F.lowest_homogeneous_component()
     lead = f0.leading_monomial(grevlex())
     return graded_dim(MonomialIdeal(F.num_vars, [lead]), n)

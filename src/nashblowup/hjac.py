@@ -62,12 +62,17 @@ def shape(s: int, n: int) -> tuple[int, int]:
     return math.comb(n + s - 1, s), math.comb(n + s, s) - 1
 
 
-def build(F: Polynomial, n: int) -> HigherJacobian:
-    """Construct the order-n Jacobian matrix of a nonzero polynomial."""
+def _check_input(F: Polynomial, n: int) -> None:
+    """The input errors of `build`, for callers that must report them first."""
     if F.is_zero():
         raise ValueError("the zero polynomial has no Jacobian matrix")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+
+
+def build(F: Polynomial, n: int) -> HigherJacobian:
+    """Construct the order-n Jacobian matrix of a nonzero polynomial."""
+    _check_input(F, n)
     s = F.num_vars
     rows = tuple(mi.enumerate_indices(s, 0, n - 1))
     cols = tuple(mi.enumerate_indices(s, 1, n))
@@ -174,34 +179,15 @@ def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by fraction-free
-    (exact-division) Bareiss elimination."""
+    """Determinant of a square polynomial matrix by the fraction-free
+    elimination of `linalg`, dividing exactly with `divexact`."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
-    ring = matrix[0][0].ring
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
-    A = [list(row) for row in matrix]
-    one = Polynomial.constant(ring, 1)
-    zero = Polynomial.zero(ring)
-    prev = one
-    sign = 1
-    for k in range(size - 1):
-        if A[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, size) if not A[i][k].is_zero()), None)
-            if pivot is None:
-                return zero
-            A[k], A[pivot] = A[pivot], A[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = A[k][k] * A[i][j] - A[i][k] * A[k][j]
-                A[i][j] = num if prev == one else divexact(num, prev)
-            A[i][k] = zero
-        prev = A[k][k]
-    result = A[size - 1][size - 1]
-    return result if sign == 1 else -result
+    pivots, sign, last = linalg._eliminate([list(row) for row in matrix], divexact)
+    return sign * last if len(pivots) == size else Polynomial.zero(matrix[0][0].ring)
 
 
 def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynomial]]:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from . import linalg
 from .groebner import BudgetExceededError, Ideal, buchberger, normal_form
-from .hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
+from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
 from .polynomial import (
     Polynomial,
     _fresh,
@@ -53,6 +53,8 @@ class LimitIdealResult:
 def translate_to_origin(F: Polynomial, center) -> Polynomial:
     """F(x + center): moves the given point of interest to the origin."""
     center = make_point(center)
+    if len(center) != F.num_vars:
+        raise ValueError(f"center has {len(center)} coordinates, expected {F.num_vars}")
     return F.substitute({
         name: Polynomial.variable(F.ring, name) + Polynomial.constant(F.ring, c)
         for name, c in zip(F.ring, center)
@@ -60,6 +62,7 @@ def translate_to_origin(F: Polynomial, center) -> Polynomial:
 
 
 def _graph_ideal_data(F: Polynomial, n: int, center):
+    _check_input(F, n)  # input errors before the center's precondition
     center = make_point(center)
     if F.evaluate(center) != 0:
         raise PointNotOnHypersurfaceError("center is not on the hypersurface")
@@ -280,7 +283,7 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
     if depth > 64:
         raise RecursionError("plane description branched too deeply")
     while True:
-        subs, _ = _substitution_from_rows(ring, rows) if rows else ({}, [])
+        subs, _ = _substitution_from_rows(ring, rows)
         current = []
         for g in gens:
             h = g.substitute(subs) if subs else g
@@ -313,11 +316,8 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
         break
 
     if not gens:
-        if rows:
-            basis = linalg.kernel_basis(rows, width=len(ring))
-        else:
-            basis = [[Fraction(i == j) for j in range(len(ring))] for i in range(len(ring))]
-        canonical = tuple(tuple(v) for v in linalg.rref(basis)[0]) if basis else ()
+        basis = linalg.kernel_basis(rows, width=len(ring))
+        canonical = tuple(tuple(v) for v in linalg.rref(basis)[0])
         if canonical not in seen:
             seen.add(canonical)
             out.append([list(v) for v in canonical])
@@ -385,10 +385,6 @@ def describe_planes(generators, num_u: int):
         return None
     # keep only subspaces maximal under inclusion (equal ones were deduped)
     def contains(big, small):
-        if not small:
-            return True
-        if not big:
-            return False
         return linalg.rank(big) == linalg.rank(big + small)
 
     result = []

@@ -1,88 +1,84 @@
-"""Exact linear algebra over Q: fraction-free rank, RREF, kernels."""
+"""Exact linear algebra over Q: rank, determinants, RREF and kernels, all
+read off one fraction-free Gauss-Jordan elimination (`_eliminate`) of the
+rows cleared of denominators.  `hjac.det` runs it on polynomial rows."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import floordiv
 from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def _as_fraction_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _eliminate(work: list[list], divide=floordiv) -> tuple[list[int], int, object]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of `work` in place,
+    over an integral domain whose exact division is `divide`: at each pivot p,
+    every other row becomes (p * row - row[col] * pivot row) / previous pivot.
+
+    Pivot columns end cleared above and below, every pivot entry ends equal
+    to the last pivot, and rows past the rank end zero.  Returns the pivot
+    columns, the sign of the row permutation and the last pivot, which for a
+    square matrix of full rank is that sign times the determinant."""
+    m = len(work)
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
+        top = work[r]
+        p = top[col]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[col]
+                if prev == 1:
+                    row[:] = [p * a - f * b for a, b in zip(row, top)]
+                else:
+                    row[:] = [divide(p * a - f * b, prev) for a, b in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    return pivots, sign, prev
 
 
-def _bareiss(rows: Sequence[Sequence]) -> tuple[int, Fraction]:
-    """Fraction-free (Bareiss) elimination on the rows cleared of
-    denominators: (rank, determinant), the latter 0 unless square."""
-    work: list[list[int]] = []
-    scale = 1
+def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of the lcms."""
+    work, scale = [], 1
     for row in rows:
         frs = [Fraction(x) for x in row]
         denom = lcm(*(c.denominator for c in frs))
         scale *= denom
         work.append([c.numerator * (denom // c.denominator) for c in frs])
-    m, n = len(work), len(work[0])
-    prev = 1
-    sign = 1
-    r = 0
-    col = 0
-    while r < m and col < n:
-        pivot = next((i for i in range(r, m) if work[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-            sign = -sign
-        for i in range(r + 1, m):
-            for j in range(col + 1, n):
-                work[i][j] = (work[r][col] * work[i][j] - work[i][col] * work[r][j]) // prev
-            work[i][col] = 0
-        prev = work[r][col]
-        r += 1
-        col += 1
-    return r, Fraction(sign * prev, scale) if r == m == n else Fraction(0)
+    return work, scale
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on cleared rows."""
-    return _bareiss(rows)[0] if rows else 0
+    """Exact rank: the number of pivots."""
+    return len(_eliminate(_cleared(rows)[0])[0])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a nonempty square matrix over Q."""
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix is not square")
-    return _bareiss(rows)[1]
+    work, scale = _cleared(rows)
+    pivots, sign, last = _eliminate(work)
+    return Fraction(sign * last, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact over Q."""
-    work = _as_fraction_matrix(rows)
-    if not work:
-        return [], []
-    m, n = len(work), len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(m):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return work, pivots
+    work, _ = _cleared(rows)
+    pivots, _, last = _eliminate(work)
+    return [[Fraction(x, last) for x in row] for row in work], pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:

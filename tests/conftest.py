@@ -3,6 +3,9 @@
 import re
 from fractions import Fraction
 
+import pytest
+
+from nashblowup.limits import limit_ideal
 from nashblowup.parser import parse_polynomial
 
 
@@ -13,6 +16,18 @@ def P(text, ring):
 
 def F(x):
     return Fraction(x)
+
+
+# limit ideals at the origin at n=2, computed once per session: the node
+# takes seconds, and test_limits and test_acceptance both check it
+@pytest.fixture(scope="session")
+def cusp_result():
+    return limit_ideal(P("x^3 - y^2", ("x", "y")), 2, (0, 0))
+
+
+@pytest.fixture(scope="session")
+def node_result():
+    return limit_ideal(P("x^3 + x^2 - y^2", ("x", "y")), 2, (0, 0))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -154,15 +154,16 @@ def test_limits_center_off_surface(capsys):
 
 
 def test_limits_order_zero_is_input_error(capsys):
-    # like jac -n 0 and singular -n 0; an off-surface center still wins
-    code, out, err = run(capsys, "limits", "--poly", "x^3-y^2",
-                         "--vars", "x,y", "-n", "0", "--point", "0,0")
-    assert code == 2
-    assert out == "" and err == "input error: order must be >= 1, got 0\n"
-    code, _, err = run(capsys, "limits", "--poly", "x^3-y^2",
-                       "--vars", "x,y", "-n", "0", "--point", "1,3")
-    assert code == 3
-    assert err == "precondition violation: center is not on the hypersurface\n"
+    # like jac -n 0, singular -n 0 and tangent -n 0: the order is checked
+    # before the center, so an off-surface center is an input error too
+    for point in ("0,0", "1,3"):
+        code, out, err = run(capsys, "limits", "--poly", "x^3-y^2",
+                             "--vars", "x,y", "-n", "0", "--point", point)
+        assert code == 2
+        assert out == "" and err == "input error: order must be >= 1, got 0\n"
+        for command in ("singular", "tangent"):
+            assert run(capsys, command, "--poly", "x^3-y^2", "--vars", "x,y",
+                       "-n", "0", "--point", point) == (code, out, err)
 
 
 def test_limits_budget_abort_still_prints_minors(capsys):

@@ -103,6 +103,11 @@ def test_local_hilbert_preconditions():
         local_hilbert(P("x + 1", RING2), 2)
 
 
+def test_local_hilbert_origin_off_surface_is_specific():
+    with pytest.raises(PointNotOnHypersurfaceError, match="origin is not on"):
+        local_hilbert(P("x^3 - y^2 + 1", RING2), 2)
+
+
 def test_local_hilbert_lower_bound():
     for text, ring in ((CUSP, RING2), (NODE, RING2), (SURF, RING3)):
         F = P(text, ring)

@@ -312,6 +312,20 @@ def test_det_fixtures():
     assert det([[zero, one], [one, zero]]) == -one
 
 
+def test_det_row_swaps_and_singular_3x3():
+    x, y = Polynomial.variables(RING2)
+    one = Polynomial.constant(RING2, 1)
+    zero = Polynomial.zero(RING2)
+    # a zero first pivot: one swap, so the sign flips
+    assert det([[zero, x, y], [x, zero, one], [y, one, zero]]) == (x * y).scalar_mul(2)
+    # the second pivot vanishes only after the first step: a swap mid-way
+    assert det([[x, y, one], [x, y, x], [one, one, one]]) == x * y - x * x + x - y
+    # the second row is x times the first
+    assert det([[x, y, one], [x * x, x * y, x], [one, x, y]]) == zero
+    # rank 1: every row a multiple of the first
+    assert det([[x, y, one], [y * x, y * y, y], [-x, -y, -one]]) == zero
+
+
 def test_det_against_cofactor_expansion():
     rng = random.Random(7)
 

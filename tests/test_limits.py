@@ -29,16 +29,6 @@ NODE = "x^3 + x^2 - y^2"
 U10 = tuple(f"u_{k}" for k in range(1, 11))
 
 
-@pytest.fixture(scope="module")
-def cusp_result():
-    return limit_ideal(P(CUSP, RING2), 2, (0, 0))
-
-
-@pytest.fixture(scope="module")
-def node_result():
-    return limit_ideal(P(NODE, RING2), 2, (0, 0))
-
-
 def u_ideal(result, texts):
     ring = result.u_ring
     return Ideal(ring, [parse_polynomial(t, ring) for t in texts])
@@ -62,6 +52,14 @@ def test_center_must_be_on_hypersurface():
         limit_ideal(P(CUSP, RING2), 2, (1, 2))
 
 
+def test_order_is_checked_before_the_center():
+    # as in hjac.build: an order below 1 is an input error wherever the center is
+    for center in ((0, 0), (1, 2)):
+        with pytest.raises(ValueError, match="order must be >= 1, got 0") as info:
+            limit_ideal(P(CUSP, RING2), 0, center)
+        assert not isinstance(info.value, PointNotOnHypersurfaceError)
+
+
 def test_center_must_be_singular():
     with pytest.raises(SingularPointError):
         limit_ideal(P(CUSP, RING2), 2, (1, 1))
@@ -82,6 +80,12 @@ def test_budget_abort_carries_the_minor_table():
 def test_translate_to_origin():
     F = P("(x - 1)^3 - y^2", RING2)
     assert translate_to_origin(F, (1, 0)) == P(CUSP, RING2)
+
+
+def test_translate_to_origin_needs_one_coordinate_per_variable():
+    for center in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="coordinates, expected 2"):
+            translate_to_origin(P(CUSP, RING2), center)
 
 
 # -- frozen limit-space fixtures -------------------------------------------
@@ -139,9 +143,9 @@ def test_block_and_lex_styles_agree():
         limit_ideal(P(CUSP, RING2), 2, (0, 0), style="weird")
 
 
-def test_translation_invariance():
+def test_translation_invariance(cusp_result):
     shifted = limit_ideal(P("(x - 1)^3 - y^2", RING2), 2, (1, 0))
-    origin = limit_ideal(P(CUSP, RING2), 2, (0, 0))
+    origin = cusp_result
     assert shifted.generators == origin.generators
     assert shifted.planes == origin.planes
 

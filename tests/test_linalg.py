@@ -87,3 +87,32 @@ def test_rref_consistent_with_rank(rows):
 def test_det_matches_sympy(rows):
     assert linalg.det(rows) == Fraction(str(sympy.Matrix(
         [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]).det()))
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                         for row in rows])
+
+
+def low_rank_strategy():
+    """m x n products of an m x k and a k x n matrix: rank at most k."""
+    entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    dims = st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(0, 3))
+    return dims.flatmap(lambda d: st.tuples(
+        st.lists(st.lists(entries, min_size=d[2], max_size=d[2]), min_size=d[0], max_size=d[0]),
+        st.lists(st.lists(entries, min_size=d[1], max_size=d[1]), min_size=d[2], max_size=d[2]),
+        st.just(d[1]))).map(lambda ab: [
+            [sum((a[t] * ab[1][t][j] for t in range(len(a))), Fraction(0)) for j in range(ab[2])]
+            for a in ab[0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrix_strategy(), low_rank_strategy()))
+def test_rank_rref_kernel_match_sympy(rows):
+    expected, expected_pivots = to_sympy(rows).rref()
+    R, pivots = linalg.rref(rows)
+    assert pivots == list(expected_pivots)
+    assert to_sympy(R) == expected
+    assert linalg.rank(rows) == len(expected_pivots)
+    kernel = linalg.kernel_basis(rows, width=len(rows[0]))
+    assert [to_sympy([v]).T for v in kernel] == to_sympy(rows).nullspace()
