@@ -80,6 +80,7 @@ CASES = {
     "limits-A4": _limits("y^2-x^5", *JSON),
     "limits-D4": _limits("x^2*y-y^3", *JSON),
     "limits-D4-text": _limits("x^2*y-y^3"),
+    "limits-node": _limits("x^3+x^2-y^2", *JSON),
     "limits-max-pairs": _limits("x^3-y^2", "--max-pairs", "1", *JSON),
     "limits-max-pairs-text": _limits("x^3-y^2", "--max-pairs", "1"),
     "limits-max-reductions": _limits("x^3-y^2", "--max-reductions", "1", *JSON),
