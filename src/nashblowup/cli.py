@@ -31,10 +31,6 @@ class InputError(Exception):
     pass
 
 
-class PreconditionError(Exception):
-    pass
-
-
 def _parse_vars(text: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in text.split(","))
     if not names or any(not v for v in names):
@@ -107,10 +103,7 @@ def cmd_singular(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     point = _parse_point(args.point, len(names))
-    try:
-        rank = hjac.rank_at(F, args.n, point)
-    except hjac.PointNotOnHypersurfaceError as exc:
-        raise PreconditionError(str(exc)) from None
+    rank = hjac.rank_at(F, args.n, point)
     M, _ = hjac.shape(len(names), args.n)
     verdict = "singular" if rank < M else "non-singular"
     _emit(args, {"rank": rank, "full_rank": M, "verdict": verdict},
@@ -122,12 +115,7 @@ def cmd_tangent(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
     point = _parse_point(args.point, len(names))
-    try:
-        basis = hjac.tangent_space(F, args.n, point)
-    except hjac.PointNotOnHypersurfaceError as exc:
-        raise PreconditionError(str(exc)) from None
-    except hjac.SingularPointError as exc:
-        raise PreconditionError(str(exc)) from None
+    basis = hjac.tangent_space(F, args.n, point)
     _emit(args, {"dim": len(basis),
                  "basis": [[str(c) for c in v] for v in basis]},
           lambda: [f"dim T^{args.n} = {len(basis)}"] + [_vector(v) for v in basis])
@@ -178,8 +166,6 @@ def cmd_limits(args) -> int:
         result = limits.limit_ideal(
             F, args.n, center, style=args.order,
             max_pairs=args.max_pairs, max_reductions=args.max_reductions)
-    except (hjac.PointNotOnHypersurfaceError, hjac.SingularPointError) as exc:
-        raise PreconditionError(str(exc)) from None
     except BudgetExceededError as exc:
         # still emit the minor table computed before the engine gave up
         entries = _minor_entries(exc.minors)
@@ -248,10 +234,7 @@ def cmd_hilbert(args) -> int:
         if names is None:
             raise InputError("--poly needs --vars")
         F = _parse_poly(args.poly, names)
-        try:
-            value = hilbert_mod.local_hilbert(F, args.n)
-        except ValueError as exc:
-            raise PreconditionError(str(exc)) from None
+        value = hilbert_mod.local_hilbert(F, args.n)
     _emit(args, {"n": args.n, "dim": value}, lambda: [str(value)])
     return EXIT_OK
 
@@ -348,7 +331,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except PreconditionError as exc:
+    except (hjac.PointNotOnHypersurfaceError, hjac.SingularPointError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetExceededError as exc:

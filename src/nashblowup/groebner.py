@@ -326,12 +326,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
         order = grevlex()
     f._check_ring(g)
     keyf = order.key_func(f.ring)
-    f_lt = max(f.terms, key=keyf)
-    g_lt = max(g.terms, key=keyf)
-    lcm = _mono_lcm(f_lt, g_lt)
-    mf = Polynomial(f.ring, {_mono_sub(lcm, f_lt): Fraction(1) / f.terms[f_lt]})
-    mg = Polynomial(g.ring, {_mono_sub(lcm, g_lt): Fraction(1) / g.terms[g_lt]})
-    return mf * f - mg * g
+    ef, eg = (_entry(_normalize(_cleared(p)[0], keyf), keyf) for p in (f, g))
+    d = lcm(ef[2], eg[2])
+    return Polynomial(f.ring, {m: Fraction(v, d) for m, v in _spoly_int(ef, eg).items()})
 
 
 def eliminate(

@@ -114,7 +114,10 @@ def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
         raise PointNotOnHypersurfaceError(
             f"F{tuple(map(str, point))} = {value} != 0"
         )
-    return [[e.evaluate(point) for e in row] for row in jac.entries]
+    # `build` shares one Polynomial per Taylor coefficient: evaluate each once
+    distinct = {id(e): e for row in jac.entries for e in row}
+    values = {k: e.evaluate(point) for k, e in distinct.items()}
+    return [[values[id(e)] for e in row] for row in jac.entries]
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:

@@ -16,16 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .groebner import BudgetExceededError, Ideal, buchberger, normal_form
+from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
 from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
-from .polynomial import (
-    Polynomial,
-    _fresh,
-    block_order,
-    grevlex,
-    lex,
-    make_point,
-)
+from .polynomial import Polynomial, _fresh, grevlex, make_point
 
 
 class NotDecomposableError(ValueError):
@@ -97,35 +90,23 @@ def limit_ideal(
     max_reductions: int | None = None,
 ) -> LimitIdealResult:
     """Eliminate t from A, restrict to Q[x, u], set x = 0, and return the
-    limit-space ideal in the u variables (as a reduced basis)."""
+    limit-space ideal in the u variables (as a reduced basis).
+
+    t is eliminated by `groebner.eliminate`, under (t) >> grevlex(x, u) for
+    style="block" and lex(t, x, u) for style="lex"."""
     center, minors, ring_a, tname, unames, gens = _graph_ideal_data(F, n, center)
-    if style == "block":
-        order = block_order(
-            ((tname,), grevlex()),
-            (tuple(F.ring), grevlex()),
-            (unames, grevlex()),
-        )
-    elif style == "lex":
-        order = lex(*ring_a)
-    else:
-        raise ValueError(f"unknown elimination style {style!r}")
     try:
-        basis = buchberger(gens, order, ring_a,
-                           max_pairs=max_pairs, max_reductions=max_reductions)
+        xu = eliminate(Ideal(ring_a, gens), (tname,), style=style,
+                       max_pairs=max_pairs, max_reductions=max_reductions)
     except BudgetExceededError as exc:
         exc.minors = minors
         raise
-
-    t_idx = ring_a.index(tname)
     zero_x = {v: 0 for v in F.ring}
     projected: list[Polynomial] = []
-    for g in basis:
-        if any(m[t_idx] for m in g.terms):
-            continue
+    for g in xu.generators:
         h = g.substitute(zero_x)
-        if h.is_zero():
-            continue
-        projected.append(h.to_ring(unames))
+        if not h.is_zero():
+            projected.append(h.to_ring(unames))
     reduced = buchberger(projected, grevlex(), unames) if projected else []
     planes = describe_planes(reduced, len(unames))
     return LimitIdealResult(

@@ -211,6 +211,17 @@ def test_hilbert_origin_precondition(capsys):
     assert code == 3
 
 
+def test_hilbert_poly_input_errors_exit_2(capsys):
+    # --poly reports the input errors that --monomials and jac report
+    for argv in (("hilbert", "--monomials", "x^2", "-n", "-1"),
+                 ("hilbert", "--poly", "x^3-y^2", "--vars", "x,y", "-n", "-1"),
+                 ("hilbert", "--poly", "0", "--vars", "x,y", "-n", "2"),
+                 ("jac", "--poly", "0", "--vars", "x,y", "-n", "1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("input error: "), argv
+
+
 def test_hilbert_rejects_non_monomial(capsys):
     code, _, err = run(capsys, "hilbert", "--monomials", "x+y", "-n", "2")
     assert code == 2

@@ -100,6 +100,8 @@ CASES = {
                              "-n", "2", *JSON),
     "hilbert-no-variables": ("hilbert", "--monomials", "x+y", "-n", "2", *JSON),
     "hilbert-negative-degree": ("hilbert", "--monomials", "x^2", "-n", "-1", *JSON),
+    "hilbert-poly-negative-degree": ("hilbert", *CUSP, "-n", "-1", *JSON),
+    "hilbert-zero-poly": ("hilbert", "--poly", "0", "--vars", "x,y", "-n", "2", *JSON),
     "hilbert-origin-off-surface": ("hilbert", "--poly", "x^3-y^2+1", "--vars", "x,y",
                                    "-n", "2", *JSON),
     # gb

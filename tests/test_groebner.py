@@ -109,6 +109,19 @@ def test_s_polynomial_coprime_leading_terms():
     assert normal_form(s, [f, g], lex()).is_zero()
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=polynomials(RING3, 3).filter(lambda p: not p.is_zero()),
+       g=polynomials(RING3, 3).filter(lambda p: not p.is_zero()),
+       order=st.sampled_from([lex(), grlex(), grevlex()]))
+def test_s_polynomial_matches_monic_definition(f, g, order):
+    # S(f, g) = m_f*f - m_g*g with m_p = (lcm(lt f, lt g) / lt p) / lc p
+    lt_f, lt_g = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = tuple(max(a, b) for a, b in zip(lt_f, lt_g))
+    m_f = Polynomial(RING3, {tuple(a - b for a, b in zip(lcm, lt_f)): 1 / f.terms[lt_f]})
+    m_g = Polynomial(RING3, {tuple(a - b for a, b in zip(lcm, lt_g)): 1 / g.terms[lt_g]})
+    assert s_polynomial(f, g, order) == m_f * f - m_g * g
+
+
 def test_s_polynomial_of_zero_rejected():
     with pytest.raises(ValueError):
         s_polynomial(Polynomial.zero(RING2), P("x", RING2))
@@ -203,6 +216,26 @@ def test_eliminate_block_and_lex_agree():
     I = Ideal(RING3, [P("x^2 - y", RING3), P("x^3 - z", RING3)])
     assert ideal_equal(eliminate(I, ("x",), style="block"),
                        eliminate(I, ("x",), style="lex"))
+
+
+RING_TXY = ("t", "x", "y")
+
+
+@settings(max_examples=25, deadline=None)
+@given(gens=st.lists(polynomials(RING_TXY, 2, constant=False), min_size=2, max_size=3),
+       style=st.sampled_from(["block", "lex"]))
+def test_eliminate_matches_sympy(gens, style):
+    # sympy's reduced lex basis for t > x > y: its t-free elements are the
+    # reduced lex basis of the ideal intersected with Q[x, y]
+    symbols = sympy.symbols(RING_TXY)
+    basis = sympy.groebner([as_sympy(g, symbols) for g in gens], *symbols,
+                           order="lex", domain="QQ")
+    expected = [e for e in basis.exprs if not e.has(symbols[0])]
+    J = eliminate(Ideal(RING_TXY, gens), ("t",), style=style)
+    assert J.ring == ("x", "y")
+    ours = buchberger(J.generators, lex(), J.ring)
+    assert {sympy.expand(as_sympy(g, symbols[1:])) for g in ours} == \
+        {sympy.expand(e) for e in expected}
 
 
 def test_eliminate_to_zero_ideal():
