@@ -197,37 +197,88 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     """All C(N-1, M) maximal minors of the order-n matrix.
 
     Returned as (column positions, determinant) with 0-based positions, in
-    ascending lexicographic order of the position tuple; this enumeration is
-    what numbers the auxiliary variables u_1, u_2, ... downstream.
+    ascending lexicographic order of the position tuple, zero minors
+    included; this enumeration is what numbers the auxiliary variables
+    u_1, u_2, ... downstream.
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
     the matrix; dense fraction-free elimination (see `det`) serves as the
-    independent cross-check.
+    independent cross-check.  The expansion runs on integers: the entries
+    are scaled by the common denominator d of their coefficients, and every
+    exponent vector is packed into one int with (M*deg F).bit_length() bits
+    per variable, so that a product of M entries, of degree at most
+    M*deg F, cannot carry from one variable's field into the next and
+    multiplying monomials is adding ints.  Partial products are keyed by the
+    bitmask of their columns.  Each coefficient is divided by d^M at the end.
     """
     jac = build(F, n)
     M, C = jac.num_rows, jac.num_cols
     if C < M:
         raise ValueError("matrix has fewer columns than rows")
     ring = F.ring
-    zero = Polynomial.zero(ring)
-    acc: dict[tuple[int, ...], Polynomial] = {(): Polynomial.constant(ring, 1)}
+    bits = (M * F.total_degree()).bit_length()
+    shifts = [bits * i for i in range(len(ring))]
+    # `build` shares one Polynomial per Taylor coefficient: convert each once,
+    # as +entry and -entry over the common denominator d
+    distinct = {id(e): e for row in jac.entries for e in row if e.terms}
+    d = math.lcm(*(c.denominator for e in distinct.values() for c in e.terms.values()))
+    signed = {}
+    for key, e in distinct.items():
+        plus = [(sum(x << sh for x, sh in zip(m, shifts)), c.numerator * (d // c.denominator))
+                for m, c in e.terms.items()]
+        signed[key] = (plus, [(m, -c) for m, c in plus])
+    acc: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in jac.entries:
-        nonzero = [(j, p) for j, p in enumerate(row) if not p.is_zero()]
-        new: dict[tuple[int, ...], Polynomial] = {}
-        for subset, coeff in acc.items():
-            for j, p in nonzero:
-                if j in subset:
+        nonzero = [(j, 1 << j, signed[id(e)]) for j, e in enumerate(row) if e.terms]
+        new: dict[int, dict[int, int]] = {}
+        for mask, poly in acc.items():
+            for j, bit, (plus, minus) in nonzero:
+                if mask & bit:
                     continue
-                above = sum(1 for s_ in subset if s_ > j)
-                term = coeff * p
-                if above % 2:
-                    term = -term
-                key = tuple(sorted(subset + (j,)))
-                prev = new.get(key)
-                new[key] = term if prev is None else prev + term
-        acc = {k: v for k, v in new.items() if not v.is_zero()}
-    return [(J, acc.get(J, zero)) for J in combinations(range(C), M)]
+                # the sign of moving column j past the chosen columns above it
+                entry = minus if (mask >> (j + 1)).bit_count() & 1 else plus
+                target = new.setdefault(mask | bit, {})
+                get = target.get
+                for m1, c1 in poly.items():
+                    for m2, c2 in entry:
+                        m = m1 + m2
+                        target[m] = get(m, 0) + c1 * c2
+        # drop cancelled terms, and minors that cancelled to zero, in place
+        for mask, poly in list(new.items()):
+            if 0 in poly.values():
+                poly = {m: c for m, c in poly.items() if c}
+                if poly:
+                    new[mask] = poly
+                else:
+                    del new[mask]
+        acc = new
+    # back to Polynomials, converting each distinct coefficient and monomial
+    # once and freeing each integer minor as it is converted
+    scale = d**M
+    field = (1 << bits) - 1
+    fractions: dict[int, Fraction] = {}
+    monomials: dict[int, tuple[int, ...]] = {}
+    zero = Polynomial.zero(ring)
+    table = []
+    # the bit tuples run through the masks in the order of the column tuples
+    masks = map(sum, combinations([1 << j for j in range(C)], M))
+    for J, mask in zip(combinations(range(C), M), masks):
+        poly = acc.pop(mask, None)
+        if poly is None:
+            table.append((J, zero))
+            continue
+        terms = {}
+        for m, c in poly.items():
+            frac = fractions.get(c)
+            if frac is None:
+                frac = fractions[c] = Fraction(c, scale)
+            mono = monomials.get(m)
+            if mono is None:
+                mono = monomials[m] = tuple((m >> sh) & field for sh in shifts)
+            terms[mono] = frac
+        table.append((J, Polynomial._from_terms(ring, terms)))
+    return table
 
 
 def nash_ideal(F: Polynomial, n: int) -> Ideal:

@@ -83,6 +83,17 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _from_terms(ring: Ring, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Trusted constructor: `ring` a valid tuple of names and `terms` a
+        dict of exponent tuples of its length to nonzero Fractions, taken as
+        they are, without copying or checking."""
+        out = Polynomial.__new__(Polynomial)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "terms", terms)
+        object.__setattr__(out, "_hash", None)
+        return out
+
+    @staticmethod
     def zero(ring: Iterable[str]) -> "Polynomial":
         return Polynomial(ring, {})
 
@@ -169,20 +180,12 @@ class Polynomial:
                     terms[mono] = acc
                 else:
                     del terms[mono]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "ring", self.ring)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return Polynomial._from_terms(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "ring", self.ring)
-        object.__setattr__(out, "terms", {m: -c for m, c in self.terms.items()})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return Polynomial._from_terms(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -214,11 +217,7 @@ class Polynomial:
                         terms[mono] = acc
                     else:
                         del terms[mono]
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "ring", self.ring)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return Polynomial._from_terms(self.ring, terms)
 
     __rmul__ = __mul__
 
@@ -226,11 +225,7 @@ class Polynomial:
         c = _coerce_scalar(c)
         if not c:
             return Polynomial.zero(self.ring)
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "ring", self.ring)
-        object.__setattr__(out, "terms", {m: co * c for m, co in self.terms.items()})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return Polynomial._from_terms(self.ring, {m: co * c for m, co in self.terms.items()})
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

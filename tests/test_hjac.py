@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup import linalg
 from nashblowup import multiindex as mi
@@ -381,6 +384,76 @@ def test_minors_one_by_one():
 
 def test_minor_count_for_surface():
     assert len(maximal_minors(P(SURF, RING3), 2)) == math.comb(9, 4)
+
+
+def dense_minor(jac, J):
+    return det([[jac.entries[i][j] for j in J] for i in range(jac.num_rows)])
+
+
+def non_integral_polynomials(ring):
+    # denominators prime to every binomial C(a, k) with a <= 4, so that every
+    # nonzero Taylor coefficient, and so every nonzero entry, has a
+    # non-integral coefficient and the minors' common denominator is not 1
+    coeffs = st.builds(Fraction, st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+                       st.sampled_from([5, 7, 11]))
+    monomials = st.tuples(*[st.integers(0, 4)] * len(ring)).filter(any)
+    return st.dictionaries(monomials, coeffs, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(ring, terms))
+
+
+@settings(max_examples=30, deadline=None)
+@given(F=st.sampled_from([("x",), RING2, RING3]).flatmap(non_integral_polynomials),
+       n=st.sampled_from([1, 2]))
+def test_minors_match_dense_determinants_on_rational_F(F, n):
+    jac = build(F, n)
+    assert any(c.denominator > 1 for row in jac.entries for e in row
+               for c in e.terms.values())
+    table = maximal_minors(F, n)
+    assert [J for J, _ in table] == list(combinations(range(jac.num_cols), jac.num_rows))
+    # every minor of a small table, else a fixed spread of at least 20
+    sample = table if len(table) <= 40 else table[::len(table) // 20]
+    for J, d in sample:
+        assert d == dense_minor(jac, J)
+
+
+# M*deg F on a power of two and one below it: the packed exponent field is
+# (M*deg F).bit_length() bits wide, exactly filled at 2^k - 1
+@pytest.mark.parametrize("text,ring,n,bound", [
+    ("x^7 - y^3", RING2, 1, 7),
+    ("x^8 - y^3", RING2, 1, 8),
+    ("x^5 - y^2", RING2, 2, 15),
+    (SURF, RING3, 2, 16),
+    ("x^5 - x^2", ("x",), 3, 15),
+    ("x^4 - x^3", ("x",), 4, 16),
+], ids=["7", "8", "15", "16", "15-univariate", "16-univariate"])
+def test_minors_at_packing_boundaries(text, ring, n, bound):
+    F = P(text, ring)
+    jac = build(F, n)
+    assert jac.num_rows * F.total_degree() == bound
+    table = maximal_minors(F, n)
+    for J, d in table:
+        assert d == dense_minor(jac, J)
+    if bound & (bound + 1) == 0:
+        # some exponent needs every bit of the field, so a narrower one carries
+        top = max(e for _, d in table for m in d.terms for e in m)
+        assert top.bit_length() == bound.bit_length()
+
+
+@pytest.mark.parametrize("text,ring,n", [
+    (CUSP, RING2, 2),
+    ("3/2*x^3 - 5/7*y^2", RING2, 2),
+    ("1/3*x*y - 2/5*z^4 + 7/4*x^2*z", RING3, 2),
+], ids=["cusp", "rational-curve", "rational-surface"])
+def test_minors_are_well_formed_polynomials(text, ring, n):
+    # the minors are built without validation; they must be what validation
+    # would have built
+    F = P(text, ring)
+    for _, d in maximal_minors(F, n):
+        assert d.ring == F.ring
+        assert all(type(c) is Fraction and c != 0 for c in d.terms.values())
+        assert all(type(m) is tuple and len(m) == len(ring) for m in d.terms)
+        rebuilt = Polynomial(F.ring, d.terms)
+        assert d == rebuilt and hash(d) == hash(rebuilt)
 
 
 # -- nash ideal -----------------------------------------------------------------
