@@ -107,6 +107,7 @@ CASES = {
     # gb
     "gb": ("gb", "gens.txt", "--vars", "x,y", *JSON),
     "gb-lex-text": ("gb", "gens.txt", "--vars", "x,y", "--order", "lex"),
+    "gb-grlex": ("gb", "gens.txt", "--vars", "x,y", "--order", "grlex", *JSON),
     "gb-missing-file": ("gb", "missing.txt", "--vars", "x,y", *JSON),
     "gb-empty-file": ("gb", "empty.txt", "--vars", "x,y", *JSON),
     "gb-max-pairs": ("gb", "gens.txt", "--vars", "x,y", "--order", "lex",
