@@ -48,8 +48,6 @@ from .polynomial import (
     MonomialOrder,
     Polynomial,
     RingMismatchError,
-    block_order,
-    compare,
     elimination_order,
     grevlex,
     grlex,

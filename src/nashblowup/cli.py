@@ -17,7 +17,7 @@ from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, Ideal, buchberger
 from .parser import ParseError, format_polynomial, parse_polynomial
-from .polynomial import Polynomial, grevlex, grlex, lex
+from .polynomial import MonomialOrder, Polynomial
 
 SCHEMA_VERSION = 1
 
@@ -60,13 +60,6 @@ def _parse_poly(text: str, names: tuple[str, ...]) -> Polynomial:
         return parse_polynomial(text, names)
     except ParseError as exc:
         raise InputError(str(exc)) from None
-
-
-def _order_from_name(name: str):
-    try:
-        return {"lex": lex, "grlex": grlex, "grevlex": grevlex}[name]()
-    except KeyError:
-        raise InputError(f"unknown order {name!r}") from None
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -164,8 +157,7 @@ def cmd_limits(args) -> int:
     center = _parse_point(args.point, len(names))
     try:
         result = limits.limit_ideal(
-            F, args.n, center, style=args.order,
-            max_pairs=args.max_pairs, max_reductions=args.max_reductions)
+            F, args.n, center, max_pairs=args.max_pairs, max_reductions=args.max_reductions)
     except BudgetExceededError as exc:
         # still emit the minor table computed before the engine gave up
         entries = _minor_entries(exc.minors)
@@ -183,7 +175,7 @@ def cmd_limits(args) -> int:
     def lines():
         yield f"lambda size {result.lambda_size}"
         yield from _minor_lines(entries)
-        yield f"limit ideal ({args.order} order): {len(gens)} generators"
+        yield f"limit ideal (block order): {len(gens)} generators"
         yield from ("  " + g for g in gens)
         yield f"containment oracle: {'pass' if oracle else 'FAIL'}"
         if result.planes is None:
@@ -199,7 +191,7 @@ def cmd_limits(args) -> int:
                  "minors": entries,
                  "generators": gens,
                  "oracle": oracle,
-                 "order": args.order,
+                 "order": "block",
                  "planes": None if result.planes is None else
                  [[[str(c) for c in v] for v in plane]
                   for plane in result.planes]}, lines)
@@ -249,8 +241,7 @@ def cmd_gb(args) -> int:
     if not lines_in:
         raise InputError(f"no generators in {args.file}")
     gens = [_parse_poly(ln, names) for ln in lines_in]
-    order = _order_from_name(args.order)
-    basis = buchberger(gens, order, max_pairs=args.max_pairs,
+    basis = buchberger(gens, MonomialOrder(args.order), max_pairs=args.max_pairs,
                        max_reductions=args.max_reductions)
     out = [format_polynomial(g) for g in basis]
     _emit(args, {"order": args.order, "basis": out},
@@ -259,14 +250,12 @@ def cmd_gb(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, point=False, order=None):
+def _add_common(p, point=False):
     p.add_argument("--poly", "-f", required=True, help="polynomial in the input grammar")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.add_argument("-n", type=int, required=True, help="order of the Jacobian matrix")
     if point:
         p.add_argument("--point", required=True, help="comma-separated exact rationals")
-    if order:
-        p.add_argument("--order", choices=order, default=order[0])
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
 
@@ -299,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nashideal)
 
     p = sub.add_parser("limits", help="limit ideal of higher tangent spaces at a singular center")
-    _add_common(p, point=True, order=("block", "lex"))
+    _add_common(p, point=True)
     p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--max-reductions", type=int, default=None)
     p.set_defaults(func=cmd_limits)

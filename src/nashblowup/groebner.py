@@ -20,7 +20,6 @@ from .polynomial import (
     _fresh,
     elimination_order,
     grevlex,
-    lex,
 )
 
 
@@ -205,8 +204,11 @@ def buchberger(
     """The unique reduced Groebner basis of the ideal of `generators`.
 
     Raises BudgetExceededError when a configured cap is hit; never returns a
-    partial answer.
+    partial answer.  A negative cap is a ValueError.
     """
+    for name, cap in (("max_pairs", max_pairs), ("max_reductions", max_reductions)):
+        if cap is not None and cap < 0:
+            raise ValueError(f"{name} must be >= 0, got {cap}")
     generators = list(generators)
     if ring is None:
         if not generators:
@@ -334,31 +336,21 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = Non
 def eliminate(
     I: Ideal,
     drop: Iterable[str],
-    style: str = "block",
     max_pairs: int | None = None,
     max_reductions: int | None = None,
 ) -> Ideal:
     """Generators of I intersected with the subring without the `drop` variables.
 
-    style="block" uses a [dropped] >> [kept] block-grevlex order; style="lex"
-    uses pure lex with the dropped variables most significant.  Both are
-    elimination orders and yield the same ideal.
+    One `buchberger` call under `elimination_order(drop)`, grevlex on the
+    dropped variables >> grevlex on the kept ones; the basis elements free
+    of the dropped variables generate the intersection (Elimination Theorem).
     """
     drop = tuple(drop)
     ring = I.ring
-    unknown = [v for v in drop if v not in ring]
-    if unknown:
-        raise ValueError(f"not ring variables: {unknown}")
     keep = tuple(v for v in ring if v not in drop)
     if not keep:
         raise ValueError("cannot drop every variable")
-    if style == "block":
-        order = elimination_order(drop, keep)
-    elif style == "lex":
-        order = lex(*(drop + keep))
-    else:
-        raise ValueError(f"unknown elimination style {style!r}")
-    basis = buchberger(I.generators, order, ring,
+    basis = buchberger(I.generators, elimination_order(drop), ring,
                        max_pairs=max_pairs, max_reductions=max_reductions)
     dropped_idx = [ring.index(v) for v in drop]
     kept_polys = []

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import multiindex as mi
-from .hjac import PointNotOnHypersurfaceError
+from .hjac import PointNotOnHypersurfaceError, _check_input
 from .limits import translate_to_origin
 from .polynomial import Polynomial, grevlex, make_point
 
@@ -67,6 +67,7 @@ def local_hilbert(F: Polynomial, n: int) -> int:
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
     """Dimension criterion: p is non-singular iff
     dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1."""
+    _check_input(F, n)
     if F.evaluate(point) != 0:
         raise PointNotOnHypersurfaceError("point is not on the hypersurface")
     shifted = translate_to_origin(F, point)

@@ -30,11 +30,13 @@ class LimitIdealResult:
     F: Polynomial
     n: int
     center: tuple[Fraction, ...]
-    lambda_size: int
     minors: tuple[tuple[tuple[int, ...], Polynomial], ...]
     generators: tuple[Polynomial, ...]  # in the u-ring
-    order_used: str
     planes: tuple[tuple[tuple[Fraction, ...], ...], ...] | None
+
+    @property
+    def lambda_size(self) -> int:
+        return len(self.minors)
 
     @property
     def u_ring(self) -> tuple[str, ...]:
@@ -85,18 +87,16 @@ def limit_ideal(
     F: Polynomial,
     n: int,
     center,
-    style: str = "block",
     max_pairs: int | None = None,
     max_reductions: int | None = None,
 ) -> LimitIdealResult:
     """Eliminate t from A, restrict to Q[x, u], set x = 0, and return the
     limit-space ideal in the u variables (as a reduced basis).
 
-    t is eliminated by `groebner.eliminate`, under (t) >> grevlex(x, u) for
-    style="block" and lex(t, x, u) for style="lex"."""
+    t is eliminated by `groebner.eliminate`, under (t) >> grevlex(x, u)."""
     center, minors, ring_a, tname, unames, gens = _graph_ideal_data(F, n, center)
     try:
-        xu = eliminate(Ideal(ring_a, gens), (tname,), style=style,
+        xu = eliminate(Ideal(ring_a, gens), (tname,),
                        max_pairs=max_pairs, max_reductions=max_reductions)
     except BudgetExceededError as exc:
         exc.minors = minors
@@ -113,10 +113,8 @@ def limit_ideal(
         F=F,
         n=n,
         center=center,
-        lambda_size=len(minors),
         minors=minors,
         generators=tuple(reduced),
-        order_used=style,
         planes=planes,
     )
 

@@ -7,7 +7,7 @@ arithmetic is exact; there are no floating-point coefficients anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Union
@@ -362,87 +362,60 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order: lex, grlex, grevlex, or a block order.
+    """A monomial order on exponent tuples in the ring's own variable order.
 
-    `precedence` lists variable names from most to least significant; when
-    omitted, the ring's own order is used.  For block orders, `blocks` is a
-    sequence of (variable names, inner order) pairs compared block by block;
-    earlier blocks dominate.
+    `kind` is "lex", "grlex", "grevlex" or "elimination".  The elimination
+    order compares the `drop` variables under grevlex first and breaks ties
+    by grevlex on the kept ones, so a monomial with a dropped variable is
+    larger than every monomial without one.
     """
 
     kind: str = "grevlex"
-    precedence: tuple[str, ...] | None = None
-    blocks: tuple[tuple[tuple[str, ...], "MonomialOrder"], ...] = field(default=())
+    drop: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grlex", "grevlex", "block"):
+        if self.kind not in ("lex", "grlex", "grevlex", "elimination"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and not self.blocks:
-            raise ValueError("block order needs at least one block")
-        if self.precedence is not None:
-            object.__setattr__(self, "precedence", tuple(self.precedence))
 
     def key_func(self, ring: Ring):
         """Return key(exponents) -> sortable; larger key means larger monomial."""
-        if self.kind == "block":
-            parts = []
-            covered: list[str] = []
-            for names, inner in self.blocks:
-                idx = tuple(ring.index(v) for v in names)
-                inner_key = inner.key_func(tuple(names))
-                parts.append((idx, inner_key))
-                covered.extend(names)
-            if sorted(covered) != sorted(ring):
-                raise ValueError(f"blocks {covered} do not partition the ring {ring}")
-
-            def key(exps, parts=tuple(parts)):
-                return tuple(k(tuple(exps[i] for i in idx)) for idx, k in parts)
-
-            return key
-
-        if self.precedence is None:
-            perm = tuple(range(len(ring)))
-        else:
-            if sorted(self.precedence) != sorted(ring):
-                raise ValueError(f"precedence {self.precedence} does not match ring {ring}")
-            perm = tuple(ring.index(v) for v in self.precedence)
-
         if self.kind == "lex":
-            return lambda exps: tuple(exps[i] for i in perm)
+            return tuple
         if self.kind == "grlex":
-            return lambda exps: (sum(exps), tuple(exps[i] for i in perm))
-        # grevlex: degree first, then the smaller exponent on the least
-        # significant variable wins.
-        rev = tuple(reversed(perm))
-        return lambda exps: (sum(exps), tuple(-exps[i] for i in rev))
+            return lambda exps: (sum(exps), *exps)
+        # grevlex: degree first, then the smaller exponent on the last
+        # variable wins
+        if self.kind == "grevlex":
+            return lambda exps: (sum(exps), *[-e for e in exps[::-1]])
+        # elimination: one flat tuple, the grevlex key of the dropped block
+        # followed by that of the kept block
+        unknown = set(self.drop) - set(ring)
+        if unknown:
+            raise ValueError(f"not ring variables: {sorted(unknown)}")
+        drop = [i for i, v in enumerate(ring) if v in self.drop]
+        keep = [i for i, v in enumerate(ring) if v not in self.drop]
+        rev_drop, rev_keep = drop[::-1], keep[::-1]
+
+        def key(exps):
+            deg_drop = sum([exps[i] for i in drop])
+            return (deg_drop, *[-exps[i] for i in rev_drop],
+                    sum(exps) - deg_drop, *[-exps[i] for i in rev_keep])
+
+        return key
 
 
-def lex(*precedence: str) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(precedence) or None)
+def lex() -> MonomialOrder:
+    return MonomialOrder("lex")
 
 
-def grlex(*precedence: str) -> MonomialOrder:
-    return MonomialOrder("grlex", tuple(precedence) or None)
+def grlex() -> MonomialOrder:
+    return MonomialOrder("grlex")
 
 
-def grevlex(*precedence: str) -> MonomialOrder:
-    return MonomialOrder("grevlex", tuple(precedence) or None)
+def grevlex() -> MonomialOrder:
+    return MonomialOrder("grevlex")
 
 
-def block_order(*blocks: tuple[Iterable[str], MonomialOrder]) -> MonomialOrder:
-    packed = tuple((tuple(names), inner) for names, inner in blocks)
-    return MonomialOrder("block", None, packed)
-
-
-def elimination_order(drop: Iterable[str], keep: Iterable[str]) -> MonomialOrder:
-    """Block order with every dropped variable dominating every kept one."""
-    return block_order((tuple(drop), grevlex()), (tuple(keep), grevlex()))
-
-
-def compare(m1: tuple[int, ...], m2: tuple[int, ...], order: MonomialOrder, ring: Ring) -> int:
-    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
-    if len(m1) != len(m2):
-        raise ValueError("exponent tuples of different lengths")
-    key = order.key_func(ring)
-    k1, k2 = key(tuple(m1)), key(tuple(m2))
-    return (k1 > k2) - (k1 < k2)
+def elimination_order(drop: Iterable[str]) -> MonomialOrder:
+    """grevlex on the `drop` variables >> grevlex on the rest."""
+    return MonomialOrder("elimination", tuple(drop))

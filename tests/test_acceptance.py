@@ -189,9 +189,8 @@ def test_criterion_5_surface_oracle():
         u_ring = tuple(f"u_{k}" for k in range(1, 127))
         gens = surface_reference_basis(u_ring)
         result = limits.LimitIdealResult(
-            F=F, n=2, center=(Fraction(0),) * 3, lambda_size=126,
-            minors=minors, generators=tuple(gens),
-            order_used="reference", planes=None)
+            F=F, n=2, center=(Fraction(0),) * 3,
+            minors=minors, generators=tuple(gens), planes=None)
         # every reference generator, after u_J -> t*Delta_J and reduction
         # modulo <F>, vanishes at x = 0
         assert limits.containment_oracle(result)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nashblowup.cli import main
 
 
@@ -175,6 +177,23 @@ def test_limits_budget_abort_still_prints_minors(capsys):
     assert len(payload["minors"]) == 10
 
 
+def test_limits_negative_budget_is_input_error(capsys):
+    for flag in ("--max-pairs", "--max-reductions"):
+        code, out, err = run(capsys, "limits", "--poly", "x^3-y^2", "--vars", "x,y",
+                             "-n", "2", "--point", "0,0", flag, "-3")
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {flag[2:].replace('-', '_')} must be >= 0, got -3\n"
+
+
+def test_limits_has_no_order_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["limits", "--poly", "x^3-y^2", "--vars", "x,y", "-n", "2",
+              "--point", "0,0", "--order", "lex"])
+    assert info.value.code == 2
+    assert "--order" in capsys.readouterr().err
+
+
 # -- hilbert -------------------------------------------------------------------
 
 
@@ -258,6 +277,16 @@ def test_gb_budget(capsys, tmp_path):
                        "--order", "lex", "--max-pairs", "2")
     assert code == 4
     assert "budget" in err
+
+
+def test_gb_negative_budget_is_input_error(capsys, tmp_path):
+    path = tmp_path / "gens.txt"
+    path.write_text("x*y - 1\n")
+    for flag in ("--max-pairs", "--max-reductions"):
+        code, out, err = run(capsys, "gb", str(path), "--vars", "x,y", flag, "-2")
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: {flag[2:].replace('-', '_')} must be >= 0, got -2\n"
 
 
 # -- determinism ---------------------------------------------------------------

@@ -75,7 +75,6 @@ CASES = {
     # limits
     "limits-cusp": _limits("x^3-y^2", *JSON),
     "limits-cusp-text": _limits("x^3-y^2"),
-    "limits-cusp-lex": _limits("x^3-y^2", "--order", "lex", *JSON),
     "limits-tacnode": _limits("y^2-x^4", *JSON),
     "limits-A4": _limits("y^2-x^5", *JSON),
     "limits-D4": _limits("x^2*y-y^3", *JSON),

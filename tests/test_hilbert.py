@@ -128,6 +128,16 @@ def test_nonsingular_by_dimension_fixtures():
         nonsingular_by_dimension(F, 2, (1, 2))
 
 
+def test_nonsingular_by_dimension_checks_the_order():
+    # the same input error as the rank criterion, not a verdict
+    F = P(CUSP, RING2)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            is_singular(F, n, (1, 1))
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            nonsingular_by_dimension(F, n, (1, 1))
+
+
 def translate(F, p):
     return F.substitute({
         name: Polynomial.variable(F.ring, name) + Polynomial.constant(F.ring, c)

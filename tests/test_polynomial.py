@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from nashblowup.polynomial import (
     Polynomial,
     RingMismatchError,
-    block_order,
-    compare,
     elimination_order,
     grevlex,
     grlex,
@@ -153,52 +151,72 @@ def test_lowest_homogeneous_component():
 
 def test_compare_fixtures():
     # lex x > y: x beats y^2 regardless of degree
-    assert compare((1, 0), (0, 2), lex(), RING2) > 0
+    key = lex().key_func(RING2)
+    assert key((1, 0)) > key((0, 2))
     # grlex: degree dominates
-    assert compare((0, 2), (1, 0), grlex(), RING2) > 0
-    # block [t] > [x, y]: t beats x^5
-    order = block_order((("t",), grevlex()), (("x", "y"), grevlex()))
-    assert compare((1, 0, 0), (0, 5, 0), order, ("t", "x", "y")) > 0
+    key = grlex().key_func(RING2)
+    assert key((0, 2)) > key((1, 0))
+    # elimination of t: t beats x^5
+    key = elimination_order(("t",)).key_func(("t", "x", "y"))
+    assert key((1, 0, 0)) > key((0, 5, 0))
 
 
 def test_grevlex_vs_grlex_differ():
     # classic: x*z^2 vs y^3 with x > y > z (degree 3 each)
     # grlex: x wins; grevlex: smaller last exponent wins, so y^3 > x*z^2
-    assert compare((1, 0, 2), (0, 3, 0), grlex(), RING3) > 0
-    assert compare((1, 0, 2), (0, 3, 0), grevlex(), RING3) < 0
-
-
-def test_order_precedence_permutation():
-    # lex with y > x
-    order = lex("y", "x")
-    assert compare((0, 1), (5, 0), order, RING2) > 0
+    key = grlex().key_func(RING3)
+    assert key((1, 0, 2)) > key((0, 3, 0))
+    key = grevlex().key_func(RING3)
+    assert key((1, 0, 2)) < key((0, 3, 0))
 
 
 def test_elimination_order():
-    order = elimination_order(("t",), ("x", "y"))
-    assert compare((1, 0, 0), (0, 9, 9), order, ("t", "x", "y")) > 0
+    key = elimination_order(("t",)).key_func(("t", "x", "y"))
+    assert key((1, 0, 0)) > key((0, 9, 9))
+    # the dropped variable need not come first in the ring
+    key = elimination_order(("t",)).key_func(("x", "y", "t"))
+    assert key((0, 0, 1)) > key((9, 9, 0))
+    # within each block, grevlex in the ring's variable order
+    assert key((0, 3, 1)) > key((1, 0, 1)) > key((1, 1, 0)) > key((0, 2, 0))
+    # grevlex, not grlex, inside each block: y^3 > x*z^2
+    ring = ("x", "y", "z", "t")
+    for drop in (("t",), ("x", "y", "z")):
+        key = elimination_order(drop).key_func(ring)
+        assert key((0, 3, 0, 0)) > key((1, 0, 2, 0))
+    with pytest.raises(ValueError):
+        elimination_order(("q",)).key_func(RING2)
 
 
-@settings(max_examples=60)
+ORDERS = {"lex": lex(), "grlex": grlex(), "grevlex": grevlex(),
+          "elim-x": elimination_order(("x",)), "elim-y": elimination_order(("y",)),
+          "elim-z": elimination_order(("z",)), "elim-xz": elimination_order(("x", "z")),
+          "elim-yz": elimination_order(("y", "z"))}
+
+
+@settings(max_examples=120)
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
-       st.sampled_from(["lex", "grlex", "grevlex"]))
+       st.sampled_from(sorted(ORDERS)))
 def test_orders_multiplicative_and_one_minimal(u, v, w, kind):
-    order = {"lex": lex, "grlex": grlex, "grevlex": grevlex}[kind]()
-    c = compare(u, v, order, RING3)
+    key = ORDERS[kind].key_func(RING3)
+
+    def compare(a, b):
+        return (key(a) > key(b)) - (key(a) < key(b))
+
+    c = compare(u, v)
+    assert (c == 0) == (u == v)
     uw = tuple(a + b for a, b in zip(u, w))
     vw = tuple(a + b for a, b in zip(v, w))
-    assert compare(uw, vw, order, RING3) == c
+    assert compare(uw, vw) == c
     if u != (0, 0, 0):
-        assert compare(u, (0, 0, 0), order, RING3) > 0
+        assert compare(u, (0, 0, 0)) > 0
 
 
 def test_leading_monomial_and_monic():
     f = P("2*x^2*y + 4*y^3", RING2)
     assert f.leading_monomial(lex()) == (2, 1)
-    # grevlex agrees here; grlex with y > x does not
+    # grevlex agrees here
     assert f.leading_monomial(grevlex()) == (2, 1)
-    assert f.leading_monomial(grlex("y", "x")) == (0, 3)
     m = f.monic(lex())
     assert m.terms[(2, 1)] == 1
