@@ -189,8 +189,8 @@ def test_elimination_order():
 
 ORDERS = {"lex": lex(), "grlex": grlex(), "grevlex": grevlex(),
           "elim-x": elimination_order(("x",)), "elim-y": elimination_order(("y",)),
-          "elim-z": elimination_order(("z",)), "elim-xz": elimination_order(("x", "z")),
-          "elim-yz": elimination_order(("y", "z"))}
+          "elim-z": elimination_order(("z",)), "elim-xy": elimination_order(("x", "y")),
+          "elim-xz": elimination_order(("x", "z")), "elim-yz": elimination_order(("y", "z"))}
 
 
 @settings(max_examples=120)
