@@ -18,11 +18,9 @@ from .hjac import (
     SingularPointError,
     build,
     det,
-    dim_Tn,
     divexact,
     evaluate_at,
     is_singular,
-    jac1_equals_classical,
     maximal_minors,
     nash_ideal,
     rank_at,
@@ -31,15 +29,11 @@ from .hjac import (
 )
 from .limits import (
     LimitIdealResult,
-    NotDecomposableError,
-    annihilator,
     build_graph_ideal,
     containment_oracle,
     describe_planes,
     elimination_stage_oracle,
     limit_ideal,
-    pluecker_coordinates,
-    pluecker_reconstruct,
     substitute_minor_variables,
     translate_to_origin,
 )

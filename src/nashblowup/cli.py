@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import hilbert as hilbert_mod
 from . import hjac, limits
-from .groebner import BudgetExceededError, Ideal, buchberger
+from .groebner import BudgetExceededError, buchberger
 from .parser import ParseError, format_polynomial, parse_polynomial
 from .polynomial import MonomialOrder, Polynomial
 
@@ -241,9 +241,10 @@ def cmd_gb(args) -> int:
     if not lines_in:
         raise InputError(f"no generators in {args.file}")
     gens = [_parse_poly(ln, names) for ln in lines_in]
-    basis = buchberger(gens, MonomialOrder(args.order), max_pairs=args.max_pairs,
+    order = MonomialOrder(args.order)
+    basis = buchberger(gens, order, max_pairs=args.max_pairs,
                        max_reductions=args.max_reductions)
-    out = [format_polynomial(g) for g in basis]
+    out = [format_polynomial(g, order) for g in basis]
     _emit(args, {"order": args.order, "basis": out},
           lambda: [f"reduced basis ({args.order}): {len(out)} elements"] +
           ["  " + g for g in out])

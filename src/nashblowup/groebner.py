@@ -32,7 +32,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases.
+    """An ideal given by generators.
 
     Compare ideals with `ideal_equal`: `==` is identity, since equal ideals
     can have different generators.
@@ -47,7 +47,6 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self._cache = {}
 
     def groebner_basis(
         self,
@@ -55,15 +54,9 @@ class Ideal:
         max_pairs: int | None = None,
         max_reductions: int | None = None,
     ) -> tuple[Polynomial, ...]:
-        """The reduced Groebner basis for the order (cached)."""
-        if order is None:
-            order = grevlex()
-        key = order
-        if key not in self._cache:
-            basis = buchberger(self.generators, order, self.ring,
-                               max_pairs=max_pairs, max_reductions=max_reductions)
-            self._cache[key] = tuple(basis)
-        return self._cache[key]
+        """The reduced Groebner basis for the order, computed on each call."""
+        return tuple(buchberger(self.generators, order, self.ring,
+                                max_pairs=max_pairs, max_reductions=max_reductions))
 
 
 # -- internal integer representation ------------------------------------------
@@ -360,8 +353,7 @@ def eliminate(
     return Ideal(keep, kept_polys)
 
 
-def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None,
-                     **budget) -> bool:
+def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None) -> bool:
     """True iff f lies in I."""
     if f.ring != I.ring:
         f = f.to_ring(I.ring)
@@ -369,19 +361,17 @@ def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None
         return True
     if order is None:
         order = grevlex()
-    basis = I.groebner_basis(order, **budget)
+    basis = I.groebner_basis(order)
     return normal_form(f, basis, order).is_zero()
 
 
-def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None, **budget) -> bool:
+def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None) -> bool:
     """True iff the two ideals coincide (compared via reduced bases)."""
     if I.ring != J.ring:
         raise ValueError(f"ideals in different rings: {I.ring} vs {J.ring}")
     if order is None:
         order = grevlex()
-    bi = I.groebner_basis(order, **budget)
-    bj = J.groebner_basis(order, **budget)
-    return list(bi) == list(bj)
+    return I.groebner_basis(order) == J.groebner_basis(order)
 
 
 def radical_membership(f: Polynomial, I: Ideal, **budget) -> bool:

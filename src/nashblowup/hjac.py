@@ -40,10 +40,6 @@ class HigherJacobian:
     entries: tuple[tuple[Polynomial, ...], ...]
 
     @property
-    def ring(self):
-        return self.F.ring
-
-    @property
     def num_rows(self) -> int:
         return len(self.row_labels)
 
@@ -93,19 +89,6 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     return HigherJacobian(F, n, rows, cols, tuple(entries))
 
 
-def jac1_equals_classical(F: Polynomial) -> bool:
-    """Check that the order-1 matrix is the row of first partials."""
-    jac = build(F, 1)
-    s = F.num_vars
-    if jac.num_rows != 1 or jac.num_cols != s:
-        return False
-    for j in range(s):
-        alpha = tuple(1 if i == j else 0 for i in range(s))
-        if jac.entries[0][jac.col_labels.index(alpha)] != F.derivative(alpha):
-            return False
-    return True
-
-
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
     """Entrywise evaluation; the point must lie on the hypersurface."""
     point = make_point(point)
@@ -129,12 +112,6 @@ def is_singular(F: Polynomial, n: int, point) -> bool:
     """True iff the rank of the evaluated matrix falls below M."""
     M, _ = shape(F.num_vars, n)
     return rank_at(F, n, point) < M
-
-
-def dim_Tn(F: Polynomial, n: int, point) -> int:
-    """dim of the order-n tangent space at a point of X, singular or not."""
-    _, cols = shape(F.num_vars, n)
-    return cols - rank_at(F, n, point)
 
 
 def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:

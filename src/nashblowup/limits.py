@@ -4,8 +4,8 @@ The pipeline: build the ideal A = <F, u_J - t*Delta_J> in the ring
 (t, x, u), eliminate t, intersect with Q[x, u], set x = 0, and read the
 resulting ideal in the u variables.  Its zero set consists of the limits of
 the row spaces of the order-n Jacobian along non-singular points approaching
-the center; Plucker duality converts those into limits of the higher tangent
-spaces themselves.
+the center, in their Plucker coordinates u_J; `describe_planes` reports that
+zero set as a union of linear subspaces of u-space when it can.
 """
 
 from __future__ import annotations
@@ -13,16 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
 from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
 from .polynomial import Polynomial, _fresh, grevlex, make_point
-
-
-class NotDecomposableError(ValueError):
-    """The vector is not a valid Plucker vector of any subspace."""
 
 
 @dataclass(frozen=True)
@@ -152,76 +147,6 @@ def elimination_stage_oracle(result: LimitIdealResult, xu_generators) -> bool:
     shifted = translate_to_origin(result.F, result.center)
     return all(normal_form(substitute_minor_variables(g, result), [shifted], grevlex()).is_zero()
                for g in xu_generators)
-
-
-# -- Plucker coordinates -------------------------------------------------------
-
-
-def _antisymmetric_lookup(v, index_of: dict, idx: tuple[int, ...]) -> Fraction:
-    if len(set(idx)) != len(idx):
-        return Fraction(0)
-    order = sorted(range(len(idx)), key=lambda i: idx[i])
-    sorted_idx = tuple(idx[i] for i in order)
-    inversions = sum(
-        1 for a in range(len(idx)) for b in range(a + 1, len(idx)) if order[a] > order[b]
-    )
-    value = v[index_of[sorted_idx]]
-    return -value if inversions % 2 else value
-
-
-def pluecker_coordinates(basis: list[list[Fraction]]) -> list[Fraction]:
-    """All maximal minors of the matrix with the given rows, in ascending
-    lexicographic order of the column tuple."""
-    return [linalg.det([[row[j] for j in J] for row in basis])
-            for J in combinations(range(len(basis[0])), len(basis))]
-
-
-def pluecker_reconstruct(v, m: int, ambient_dim: int) -> list[list[Fraction]]:
-    """Recover a basis of the m-plane with Plucker coordinates v.
-
-    v is indexed by the C(ambient_dim, m) ascending index tuples.  Raises
-    NotDecomposableError when v is zero or fails the decomposability check
-    (the reconstructed plane must reproduce v up to a scalar).
-    """
-    v = [Fraction(x) for x in v]
-    tuples = list(combinations(range(ambient_dim), m))
-    if len(v) != len(tuples):
-        raise ValueError(f"expected {len(tuples)} coordinates, got {len(v)}")
-    index_of = {J: k for k, J in enumerate(tuples)}
-    pivot = next((J for J in tuples if v[index_of[J]]), None)
-    if pivot is None:
-        raise NotDecomposableError("the zero vector is not a Plucker vector")
-    basis = []
-    for slot in range(m):
-        row = []
-        for c in range(ambient_dim):
-            idx = pivot[:slot] + (c,) + pivot[slot + 1:]
-            row.append(_antisymmetric_lookup(v, index_of, idx))
-        basis.append(row)
-    if linalg.rank(basis) != m:
-        raise NotDecomposableError("reconstructed rows are dependent")
-    recovered = pluecker_coordinates(basis)
-    scale = None
-    for a, b in zip(recovered, v):
-        if (a == 0) != (b == 0):
-            raise NotDecomposableError("vector fails the decomposability check")
-        if a:
-            ratio = a / b
-            if scale is None:
-                scale = ratio
-            elif ratio != scale:
-                raise NotDecomposableError("vector fails the decomposability check")
-    return basis
-
-
-def annihilator(basis) -> list[list[Fraction]]:
-    """Basis of {w : <w, b> = 0 for every input vector b}."""
-    rows = [[Fraction(x) for x in b] for b in basis]
-    if not rows:
-        raise ValueError("empty input basis")
-    if linalg.rank(rows) != len(rows):
-        raise ValueError("input vectors are linearly dependent")
-    return linalg.kernel_basis(rows, width=len(rows[0]))
 
 
 # -- zero-set reporting --------------------------------------------------------

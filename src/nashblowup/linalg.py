@@ -1,6 +1,7 @@
-"""Exact linear algebra over Q: rank, determinants, RREF and kernels, all
-read off one fraction-free Gauss-Jordan elimination (`_eliminate`) of the
-rows cleared of denominators.  `hjac.det` runs it on polynomial rows."""
+"""Exact linear algebra over Q: rank, RREF and kernels, all read off one
+fraction-free Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
+denominators.  `hjac.det` runs the same elimination on polynomial rows to
+get determinants."""
 
 from __future__ import annotations
 
@@ -63,15 +64,6 @@ def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank: the number of pivots."""
     return len(_eliminate(_cleared(rows)[0])[0])
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant of a nonempty square matrix over Q."""
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
-    work, scale = _cleared(rows)
-    pivots, sign, last = _eliminate(work)
-    return Fraction(sign * last, scale) if len(pivots) == len(rows) else Fraction(0)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:

@@ -11,7 +11,6 @@ x, y, x^2, xy, y^2, ...).
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
@@ -31,20 +30,10 @@ def _check_same_length(alpha: MultiIndex, beta: MultiIndex) -> None:
         )
 
 
-def total_degree(alpha: MultiIndex) -> int:
-    """|alpha|, the sum of the entries."""
-    return sum(alpha)
-
-
 def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
     """Componentwise alpha <= beta."""
     _check_same_length(alpha, beta)
     return all(a <= b for a, b in zip(alpha, beta))
-
-
-def add(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    _check_same_length(alpha, beta)
-    return tuple(a + b for a, b in zip(alpha, beta))
 
 
 def sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
@@ -104,14 +93,3 @@ def enumerate_indices(s: int, d_min: int, d_max: int) -> list[MultiIndex]:
     for d in range(d_min, d_max + 1):
         out.extend(sorted(iter_degree(s, d), key=canonical_key))
     return out
-
-
-def count_indices(s: int, d_min: int, d_max: int) -> int:
-    """len(enumerate_indices(s, d_min, d_max)) without materializing the list."""
-    return math.comb(d_max + s, s) - (math.comb(d_min - 1 + s, s) if d_min > 0 else 0)
-
-
-def minor_index_tuples(num_cols: int, size: int) -> list[tuple[int, ...]]:
-    """All strictly increasing `size`-tuples of column positions (0-based),
-    in ascending lexicographic order."""
-    return list(combinations(range(num_cols), size))

@@ -244,6 +244,7 @@ class Polynomial:
     def derivative(self, alpha: mi.MultiIndex) -> "Polynomial":
         """Iterated formal partial derivative d^alpha."""
         alpha = tuple(alpha)
+        mi.validate(alpha)
         if len(alpha) != self.num_vars:
             raise ValueError("multi-index length does not match the ring")
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -320,18 +321,9 @@ class Polynomial:
         key = order.key_func(self.ring)
         return max(self.terms, key=key)
 
-    def leading_coefficient(self, order: "MonomialOrder") -> Fraction:
-        return self.terms[self.leading_monomial(order)]
-
     def sorted_terms(self, order: "MonomialOrder") -> list[tuple[tuple[int, ...], Fraction]]:
         key = order.key_func(self.ring)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def monic(self, order: "MonomialOrder") -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        return self.scalar_mul(Fraction(1) / lc)
 
     def to_ring(self, ring: Iterable[str]) -> "Polynomial":
         """Re-express in another ring containing every variable this uses."""

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from nashblowup.cli import main
+from nashblowup.parser import parse_polynomial
+from nashblowup.polynomial import Polynomial, lex
 
 
 def run(capsys, *argv):
@@ -120,7 +122,6 @@ def test_nashideal(capsys):
     assert payload["minor_count"] == 10
     # the emitted generators, together with F, span <x*y^2, y^3, F>
     from nashblowup.groebner import Ideal, ideal_equal
-    from nashblowup.parser import parse_polynomial
 
     ring = ("x", "y")
     gens = [parse_polynomial(g, ring) for g in payload["generators"]]
@@ -256,6 +257,21 @@ def test_gb(capsys, tmp_path):
                                 "--order", "lex")
     assert code == 0
     assert "y^3 - z^2" in payload["basis"]
+
+
+def test_gb_prints_terms_in_the_requested_order(capsys, tmp_path):
+    # x*z - y^2 and x - y^2 lead with y^2 under grevlex but not under lex
+    names = ("x", "y", "z")
+    path = tmp_path / "gens.txt"
+    for gens in ("x^2 - y\nx^3 - z\n", "x^2 - y\nx*y - 1\n"):
+        path.write_text(gens)
+        code, payload, _ = run_json(capsys, "gb", str(path), "--vars", "x,y,z",
+                                    "--order", "lex")
+        assert code == 0
+        for text in payload["basis"]:
+            f = parse_polynomial(text, names)
+            first = parse_polynomial(text.split(" ")[0], names)
+            assert first == Polynomial(names, {f.leading_monomial(lex()): 1}), text
 
 
 def test_gb_missing_file(capsys, tmp_path):

@@ -302,11 +302,13 @@ def test_radical_membership_not_plain_membership():
     assert radical_membership(P("x", RING2), I)
 
 
-def test_groebner_basis_cache():
-    I = Ideal(RING2, [P("x^2 - y", RING2)])
-    b1 = I.groebner_basis(lex())
-    b2 = I.groebner_basis(lex())
-    assert b1 is b2
+def test_groebner_basis_budgets_hold_after_an_uncapped_call():
+    I = Ideal(RING2, [P("x*y - 1", RING2), P("x^2 - y", RING2)])
+    assert I.groebner_basis() == Ideal(RING2, I.generators).groebner_basis()
+    with pytest.raises(ValueError, match=r"must be >= 0"):
+        I.groebner_basis(max_pairs=-1)
+    with pytest.raises(BudgetExceededError):
+        I.groebner_basis(max_pairs=0)
 
 
 def test_coefficient_arithmetic_stays_exact():

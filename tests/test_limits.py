@@ -5,20 +5,15 @@ import pytest
 from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal
 from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
 from nashblowup.limits import (
-    NotDecomposableError,
-    annihilator,
     build_graph_ideal,
     containment_oracle,
     describe_planes,
     elimination_stage_oracle,
     limit_ideal,
-    pluecker_coordinates,
-    pluecker_reconstruct,
     translate_to_origin,
 )
 from nashblowup.parser import parse_polynomial
 
-from conftest import F as Fr
 from conftest import P
 
 RING2 = ("x", "y")
@@ -164,63 +159,6 @@ def test_elimination_stage_oracle(cusp_result):
     A = build_graph_ideal(P(CUSP, RING2), 2, (0, 0))
     stage = eliminate(A, ("t",), max_pairs=None)
     assert elimination_stage_oracle(cusp_result, stage.generators)
-
-
-# -- Plucker coordinates -------------------------------------------------------
-
-
-def test_pluecker_coordinate_basis_fixture():
-    # span{e_1, e_2} in 4-space: only the (0,1) coordinate is nonzero
-    basis = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    coords = pluecker_coordinates(basis)
-    assert coords == [1, 0, 0, 0, 0, 0]
-
-
-def test_pluecker_round_trip():
-    basis = [[Fr(1), Fr(2), Fr(0), Fr(-1)], [Fr(0), Fr(1), Fr(1), Fr(3)]]
-    v = pluecker_coordinates(basis)
-    recovered = pluecker_reconstruct(v, 2, 4)
-    w = pluecker_coordinates(recovered)
-    scale = next(a / b for a, b in zip(w, v) if b)
-    assert all(a == scale * b for a, b in zip(w, v))
-
-
-def test_pluecker_reconstruct_rejects_non_decomposable():
-    # p_12 = p_34 = 1, rest 0 violates the Grassmann-Pluecker relation
-    v = [1, 0, 0, 0, 0, 1]
-    with pytest.raises(NotDecomposableError):
-        pluecker_reconstruct(v, 2, 4)
-    with pytest.raises(NotDecomposableError):
-        pluecker_reconstruct([0] * 6, 2, 4)
-    with pytest.raises(ValueError):
-        pluecker_reconstruct([1, 0, 0], 2, 4)
-
-
-def test_minor_vector_is_decomposable_at_smooth_point(cusp_result):
-    # at a non-singular point the minor tuple is the Pluecker vector of the
-    # row space of the evaluated matrix, so reconstruction must succeed
-    for p in ((1, 1), (4, 8), (Fraction(1, 4), Fraction(1, 8))):
-        vec = [d.evaluate(p) for _, d in cusp_result.minors]
-        rows = pluecker_reconstruct(vec, 3, 5)
-        assert len(rows) == 3
-
-
-def test_annihilator_fixture():
-    basis = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    ann = annihilator(basis)
-    assert len(ann) == 2
-    for w in ann:
-        assert w[0] == 0 and w[1] == 0
-    with pytest.raises(ValueError):
-        annihilator([])
-    with pytest.raises(ValueError):
-        annihilator([[1, 0], [2, 0]])
-
-
-def test_cusp_plane_annihilator(cusp_result):
-    (line,) = cusp_result.planes
-    ann = annihilator([list(v) for v in line])
-    assert len(ann) == 9
 
 
 # -- plane reporting ----------------------------------------------------------

@@ -87,6 +87,13 @@ def test_derivative_fixtures():
     assert f.derivative((0, 0)) == f
 
 
+def test_derivative_rejects_negative_indices():
+    f = P("x^2*y + y", RING2)
+    for alpha in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            f.derivative(alpha)
+
+
 def test_taylor_coeff_fixtures():
     f = P("x^3 - y^2", RING2)
     assert f.taylor_coeff((2, 0)) == P("3*x", RING2)
@@ -112,7 +119,7 @@ def test_general_leibniz_rule(f, g, alpha):
     from nashblowup import multiindex as mi
     lhs = (f * g).derivative(alpha)
     rhs = Polynomial.zero(RING3)
-    for beta in mi.enumerate_indices(3, 0, mi.total_degree(alpha)):
+    for beta in mi.enumerate_indices(3, 0, sum(alpha)):
         if not mi.leq(beta, alpha):
             continue
         coeff = mi.multi_binomial(alpha, beta)
@@ -213,10 +220,8 @@ def test_orders_multiplicative_and_one_minimal(u, v, w, kind):
         assert compare(u, (0, 0, 0)) > 0
 
 
-def test_leading_monomial_and_monic():
+def test_leading_monomial():
     f = P("2*x^2*y + 4*y^3", RING2)
     assert f.leading_monomial(lex()) == (2, 1)
     # grevlex agrees here
     assert f.leading_monomial(grevlex()) == (2, 1)
-    m = f.monic(lex())
-    assert m.terms[(2, 1)] == 1
