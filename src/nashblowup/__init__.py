@@ -29,12 +29,9 @@ from .hjac import (
 )
 from .limits import (
     LimitIdealResult,
-    build_graph_ideal,
     containment_oracle,
     describe_planes,
-    elimination_stage_oracle,
     limit_ideal,
-    substitute_minor_variables,
     translate_to_origin,
 )
 from .parser import ParseError, format_polynomial, parse_polynomial

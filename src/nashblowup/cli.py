@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, buchberger
-from .parser import ParseError, format_polynomial, parse_polynomial
+from .parser import NAME, ParseError, format_polynomial, parse_polynomial
 from .polynomial import MonomialOrder, Polynomial
 
 SCHEMA_VERSION = 1
@@ -33,7 +33,7 @@ class InputError(Exception):
 
 def _parse_vars(text: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in text.split(","))
-    if not names or any(not v for v in names):
+    if any(not NAME.fullmatch(v) for v in names):
         raise InputError(f"malformed variable list: {text!r}")
     if len(set(names)) != len(names):
         raise InputError(f"duplicate variable in: {text!r}")

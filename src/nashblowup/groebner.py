@@ -207,6 +207,7 @@ def buchberger(
         if not generators:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = generators[0].ring
+    generators = [g.to_ring(ring) for g in generators]
     if order is None:
         order = grevlex()
     keyf = order.key_func(ring)

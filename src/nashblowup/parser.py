@@ -32,7 +32,8 @@ class ParseError(ValueError):
         return f"{self.message}{where}{want}"
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^]))")
 
 
 class _Lexer:

@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from nashblowup.limits import limit_ideal
 from nashblowup.parser import parse_polynomial
@@ -16,6 +17,13 @@ def P(text, ring):
 
 def F(x):
     return Fraction(x)
+
+
+def as_sympy(f, symbols):
+    """f as a sympy expression, its ring's variables mapped to `symbols`."""
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[v ** e for v, e in zip(symbols, m)])
+                for m, c in f.terms.items()), sympy.Integer(0))
 
 
 # limit ideals at the origin at n=2, computed once per session: the node

@@ -191,8 +191,9 @@ def test_criterion_5_surface_oracle():
         result = limits.LimitIdealResult(
             F=F, n=2, center=(Fraction(0),) * 3,
             minors=minors, generators=tuple(gens), planes=None)
-        # every reference generator, after u_J -> t*Delta_J and reduction
-        # modulo <F>, vanishes at x = 0
+        # no reference generator has a constant term: at this singular
+        # center that is all u_J -> t*Delta_J, reduction modulo <F> and
+        # x = 0 can test
         assert limits.containment_oracle(result)
         # the reference zero set: three 2-planes, symbolically on each plane
         planes = [(111, 112), (37, 111), (82, 112)]  # 0-based e-indices

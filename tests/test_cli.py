@@ -49,6 +49,14 @@ def test_jac_bad_vars(capsys):
     assert code == 2
 
 
+def test_vars_must_be_parser_names(capsys):
+    for argv in (("jac", "--poly", "x+1", "--vars", "x,y z", "-n", "1"),
+                 ("singular", "--poly", "x", "--vars", "x,2y", "-n", "1", "--point", "0,5")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: malformed variable list")
+
+
 # -- singular / tangent ------------------------------------------------------
 
 

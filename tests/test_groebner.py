@@ -18,9 +18,9 @@ from nashblowup.groebner import (
     radical_membership,
     s_polynomial,
 )
-from nashblowup.polynomial import Polynomial, grevlex, grlex, lex
+from nashblowup.polynomial import Polynomial, elimination_order, grevlex, grlex, lex
 
-from conftest import P
+from conftest import P, as_sympy
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -66,12 +66,6 @@ def polynomials(ring, max_exp, constant=True):
         monomials = monomials.filter(any)
     return st.dictionaries(monomials, rationals(), min_size=1, max_size=4).map(
         lambda terms: Polynomial(ring, terms))
-
-
-def as_sympy(f, symbols):
-    return sum((sympy.Rational(c.numerator, c.denominator)
-                * sympy.Mul(*[v ** e for v, e in zip(symbols, m)])
-                for m, c in f.terms.items()), sympy.Integer(0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,6 +147,16 @@ def test_buchberger_twisted_cubic():
                        lex(), RING3)
     assert P("y^3 - z^2", RING3) in list(basis)
     assert is_reduced_basis(basis, lex())
+
+
+def test_buchberger_reads_generators_in_the_given_ring():
+    gens = [P("a^2 - b", ("a", "b")), P("a*b - 1", ("a", "b"))]
+    for order in (grevlex(), lex(), elimination_order(("a",))):
+        expected = buchberger([P("a^2 - b", ("b", "a")), P("a*b - 1", ("b", "a"))],
+                              order, ("b", "a"))
+        assert buchberger(gens, order, ("b", "a")) == expected
+        with pytest.raises(ValueError, match="absent from"):
+            buchberger(gens, order, RING3)
 
 
 def test_buchberger_every_spoly_reduces():

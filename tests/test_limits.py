@@ -1,20 +1,19 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal
+from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal, normal_form
 from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
-from nashblowup.limits import (
-    build_graph_ideal,
-    containment_oracle,
-    describe_planes,
-    elimination_stage_oracle,
-    limit_ideal,
-    translate_to_origin,
-)
+from nashblowup.limits import containment_oracle, describe_planes, limit_ideal, translate_to_origin
 from nashblowup.parser import parse_polynomial
+from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P
+from conftest import P, as_sympy
 
 RING2 = ("x", "y")
 
@@ -30,16 +29,6 @@ def u_ideal(result, texts):
 
 
 # -- construction --------------------------------------------------------------
-
-
-def test_graph_ideal_shape():
-    A = build_graph_ideal(P(CUSP, RING2), 2, (0, 0))
-    # ring is (t, x, y, u_1..u_10); one hypersurface equation + 10 graph relations
-    assert A.ring == ("t", "x", "y") + U10
-    assert len(A.generators) == 11
-    t_idx = 0
-    graph = [g for g in A.generators if any(m[t_idx] for m in g.terms)]
-    assert len(graph) == 10
 
 
 def test_center_must_be_on_hypersurface():
@@ -147,25 +136,81 @@ def test_containment_oracle_on_results(cusp_result, node_result):
 
 
 def test_containment_oracle_rejects_junk(cusp_result):
-    from dataclasses import replace
     bad = parse_polynomial("u_10 - 1", cusp_result.u_ring)
     broken = replace(cusp_result, generators=cusp_result.generators + (bad,))
     assert not containment_oracle(broken)
 
 
-def test_elimination_stage_oracle(cusp_result):
-    # the x,u-stage basis (t eliminated, x not yet set to zero) substitutes
-    # to an actual multiple of the hypersurface equation
-    A = build_graph_ideal(P(CUSP, RING2), 2, (0, 0))
-    stage = eliminate(A, ("t",), max_pairs=None)
-    assert elimination_stage_oracle(cusp_result, stage.generators)
+@pytest.fixture(scope="module")
+def shifted_node_result():
+    F = P("(x - 1/2)^3 + (x - 1/2)^2 - (y + 2)^2", RING2)
+    return limit_ideal(F, 2, (Fraction(1, 2), -2))
+
+
+def u_polynomials(ring):
+    """Up to three terms of degree 1..3 in `ring`, plus a constant that is
+    zero about half the time."""
+    monomials = st.lists(st.integers(0, len(ring) - 1), min_size=1, max_size=3).map(
+        lambda idx: tuple(idx.count(i) for i in range(len(ring))))
+    coeffs = st.integers(-5, 5).filter(bool)
+    constants = st.one_of(st.just(0), st.integers(-5, 5))
+    return st.tuples(st.dictionaries(monomials, coeffs, min_size=1, max_size=3), constants).map(
+        lambda tc: Polynomial(ring, {**tc[0], (0,) * len(ring): tc[1]}))
+
+
+@functools.cache
+def sympy_graph_data(result):
+    """(t, x symbols, u symbols, {u_J: t*Delta_J(x + center)}, F(x + center))."""
+    t, *xs = sympy.symbols(("t",) + result.F.ring)
+    shift = {x: x + c for x, c in zip(xs, result.center)}
+    us = sympy.symbols(result.u_ring)
+    images = {u: t * sympy.expand(as_sympy(delta, xs).subs(shift, simultaneous=True))
+              for u, (_, delta) in zip(us, maximal_minors(result.F, result.n))}
+    shifted = sympy.expand(as_sympy(result.F, xs).subs(shift, simultaneous=True))
+    return t, xs, us, images, shifted
+
+
+def vanishes_after_substitution(g, result):
+    """The computation the oracle stands for, done in sympy: u_J ->
+    t*Delta_J(x + center), remainder modulo F(x + center) in grevlex over
+    (t, x), then x = 0."""
+    t, xs, us, images, shifted = sympy_graph_data(result)
+    image = sympy.expand(as_sympy(g, us).subs(images, simultaneous=True))
+    _, remainder = sympy.reduced(image, [shifted], t, *xs, order="grevlex")
+    return sympy.expand(remainder.subs({x: 0 for x in xs})) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_containment_oracle_matches_sympy(data, cusp_result, shifted_node_result):
+    for result in (cusp_result, shifted_node_result):
+        g = data.draw(u_polynomials(result.u_ring))
+        assert containment_oracle(replace(result, generators=(g,))) == \
+            vanishes_after_substitution(g, result)
+
+
+def test_elimination_stage_oracle():
+    # the x,u-stage basis of the cusp's A (t eliminated, x not yet set to
+    # zero) maps under u_J -> t*Delta_J to a multiple of the hypersurface
+    # equation
+    F = P(CUSP, RING2)
+    ring_a = ("t",) + RING2 + U10
+    ring_tx = ("t",) + RING2
+    t = Polynomial.variable(ring_a, "t")
+    images = {u: t * delta.to_ring(ring_a) for u, (_, delta) in zip(U10, maximal_minors(F, 2))}
+    A = Ideal(ring_a, [F] + [Polynomial.variable(ring_a, u) - image for u, image in images.items()])
+    stage = eliminate(A, ("t",))
+    assert stage.generators
+    for g in stage.generators:
+        image = g.to_ring(ring_a).substitute(images).to_ring(ring_tx)
+        assert normal_form(image, [F.to_ring(ring_tx)], grevlex()).is_zero()
 
 
 # -- plane reporting ----------------------------------------------------------
 
 
 def uplane(texts, ring):
-    return describe_planes([parse_polynomial(t, ring) for t in texts], len(ring))
+    return describe_planes([parse_polynomial(t, ring) for t in texts])
 
 
 def test_describe_planes_coordinate_subspace():
@@ -203,4 +248,4 @@ def test_describe_planes_unsupported_pattern():
 
 
 def test_describe_planes_empty_input():
-    assert describe_planes([], 3) is None
+    assert describe_planes([]) is None
