@@ -7,6 +7,7 @@ from .groebner import (
     eliminate,
     ideal_equal,
     ideal_membership,
+    incremental_basis,
     normal_form,
     radical_membership,
     s_polynomial,

@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_minors)
 
-    p = sub.add_parser("nashideal", help="minors reduced modulo <F>")
+    p = sub.add_parser("nashideal", help="reduced basis of <F> + (minors), modulo <F>")
     _add_common(p)
     p.set_defaults(func=cmd_nashideal)
 

@@ -272,6 +272,44 @@ def buchberger(
     return _reduced_from_int(basis, keyf, ring)
 
 
+def incremental_basis(
+    generators: Iterable[Polynomial],
+    order: MonomialOrder | None = None,
+    ring: tuple[str, ...] | None = None,
+) -> list[Polynomial]:
+    """The reduced Groebner basis of the ideal of `generators`, as
+    `buchberger` returns it, for long generator lists that are mostly
+    redundant.
+
+    The first generator starts the basis, so it should be one that the
+    basis needs.  The others follow one at a time, fewest terms first and
+    then lowest degree first (a stable sort, so ties keep their given
+    order).  Each is pseudo-reduced by the basis built so far, and only a
+    nonzero remainder is passed, with that basis, to `buchberger`.
+    """
+    generators = list(generators)
+    if ring is None:
+        if not generators:
+            raise ValueError("cannot infer the ring from an empty generator list")
+        ring = generators[0].ring
+    if order is None:
+        order = grevlex()
+    keyf = order.key_func(ring)
+    budget = _Budget(None)
+    pending = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
+    if not pending:
+        return []
+    entries = [_entry(pending[0], keyf)]
+    basis = _reduced_from_int(entries, keyf, ring)
+    for terms in sorted(pending[1:], key=lambda t: (len(t), max(map(sum, t)))):
+        r = _reduce_int(terms, entries, keyf, budget)[0]
+        if r:
+            r = Polynomial._from_terms(ring, {m: Fraction(v) for m, v in r.items()})
+            basis = buchberger(basis + [r], order, ring)
+            entries = [_entry(_cleared(g)[0], keyf) for g in basis]
+    return basis
+
+
 def _reduced_from_int(basis: list[tuple], keyf, ring) -> list[Polynomial]:
     """Minimalize and tail-reduce an integer basis; return monic polynomials."""
     # minimal: drop entries whose lt is divisible by another surviving lt

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from . import multiindex as mi
-from .groebner import Ideal, normal_form
+from .groebner import Ideal, incremental_basis, normal_form
 from .polynomial import Polynomial, grevlex, make_point
 
 
@@ -259,21 +259,22 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
 
 
 def nash_ideal(F: Polynomial, n: int) -> Ideal:
-    """The ideal generated by the maximal minors, reduced modulo <F>.
+    """The ideal generated by the maximal minors, as a reduced basis modulo <F>.
 
-    Generators are the nonzero normal forms of the minors w.r.t. {F} under
-    grevlex, with duplicates dropped; F is assumed irreducible (documented
-    precondition, not verified).
+    Generators are the nonzero normal forms modulo F, made monic and with
+    duplicates dropped, of the reduced grevlex basis of <F> + (minors); that
+    basis is built by `incremental_basis`, so each minor in the ideal of
+    those before it costs one reduction.  F is assumed irreducible
+    (documented precondition, not verified).
     """
     order = grevlex()
+    minors = [minor for _, minor in maximal_minors(F, n)]
     gens: list[Polynomial] = []
-    seen = set()
-    for _, minor in maximal_minors(F, n):
-        if minor.is_zero():
+    for g in incremental_basis([F] + minors, order, F.ring):
+        nf = normal_form(g, [F], order)
+        if nf.is_zero():
             continue
-        nf = normal_form(minor, [F], order)
-        if nf.is_zero() or nf in seen:
-            continue
-        seen.add(nf)
-        gens.append(nf)
+        nf = nf.scalar_mul(1 / nf.terms[nf.leading_monomial(order)])
+        if nf not in gens:
+            gens.append(nf)
     return Ideal(F.ring, gens)

@@ -14,6 +14,7 @@ from nashblowup.groebner import (
     eliminate,
     ideal_equal,
     ideal_membership,
+    incremental_basis,
     normal_form,
     radical_membership,
     s_polynomial,
@@ -173,6 +174,65 @@ def test_buchberger_every_spoly_reduces():
             assert normal_form(s, basis, order).is_zero()
 
 
+ORDERS = {"lex": lex(), "grlex": grlex(), "grevlex": grevlex()}
+
+
+def sympy_basis(gens, symbols, order):
+    """sympy's reduced basis of the ideal of `gens`, as monic expressions."""
+    basis = sympy.groebner([as_sympy(g, symbols) for g in gens], *symbols,
+                           order=order, domain="QQ")
+    return {sympy.expand(p.as_expr() / p.LC(order=order)) for p in basis.polys}
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(polynomials(RING3, 1), min_size=2, max_size=4).filter(
+           lambda gs: any(not g.is_zero() for g in gs)),
+       order=st.sampled_from(sorted(ORDERS)))
+def test_buchberger_matches_sympy(gens, order):
+    symbols = sympy.symbols(RING3)
+    ours = buchberger(gens, ORDERS[order], RING3)
+    assert {sympy.expand(as_sympy(g, symbols)) for g in ours} == \
+        sympy_basis(gens, symbols, order)
+
+
+def redundant_combinations(gens, draw):
+    """Elements of the ideal of `gens`: sums of monomial multiples of them."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        total = Polynomial.zero(RING3)
+        for g in gens:
+            c = draw(st.sampled_from([0, 1, -2, Fraction(1, 3)]))
+            m = draw(st.tuples(*[st.integers(0, 1)] * 3))
+            total = total + g * Polynomial(RING3, {m: c})
+        out.append(total)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=st.lists(polynomials(RING3, 1), min_size=1, max_size=3).filter(
+           lambda gs: any(not g.is_zero() for g in gs)),
+       order=st.sampled_from(sorted(ORDERS)),
+       data=st.data())
+def test_incremental_basis_matches_buchberger(gens, order, data):
+    # the first generator starts the basis; the padding, redundant by
+    # construction, lands anywhere after it
+    padded = gens[:1] + data.draw(st.permutations(
+        gens[1:] + redundant_combinations(gens, data.draw)))
+    assert incremental_basis(padded, ORDERS[order], RING3) == \
+        buchberger(gens, ORDERS[order], RING3)
+
+
+def test_incremental_basis_edge_cases():
+    assert incremental_basis([], grevlex(), RING2) == []
+    assert incremental_basis([Polynomial.zero(RING2)], grevlex(), RING2) == []
+    with pytest.raises(ValueError, match="empty generator list"):
+        incremental_basis([])
+    # a redundant first generator still gives the reduced basis
+    gens = [P("x^2*y - x*y", RING2), P("x*y", RING2), P("2*x^3 + y", RING2)]
+    assert incremental_basis(gens, lex()) == buchberger(gens, lex())
+    assert incremental_basis([P("2*x + 1", RING2), P("x", RING2)]) == [P("1", RING2)]
+
+
 def test_reduced_basis_permutation_invariant():
     gens = [P("x^2 + y", RING3), P("x*y + z", RING3), P("y^3 - z^2", RING3)]
     rng = random.Random(3)
@@ -298,6 +358,41 @@ def test_radical_membership_fixtures():
     assert radical_membership(P("x + y", RING2), J)
     assert not radical_membership(P("x + 1", RING2), J)
     assert radical_membership(Polynomial.zero(RING2), I)
+
+
+def rabinowitsch_by_sympy(f, gens, ring):
+    """sympy's verdict on f in sqrt(<gens>): is <gens, 1 - w*f> the unit ideal?"""
+    symbols = sympy.symbols(ring + ("w",))
+    w = symbols[-1]
+    exprs = [as_sympy(g, symbols) for g in gens] + [1 - w * as_sympy(f, symbols)]
+    return list(sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ").exprs) == [1]
+
+
+@pytest.mark.parametrize("f,gens", [
+    ("x", ["x^2", "y"]),
+    ("x + y", ["x^2 + 2*x*y + y^2", "x*y^3"]),
+    ("x*y - 1", ["x^2*y^2 - 2*x*y + 1", "x^3 - y"]),
+    ("x*y", ["x^2*y", "x*y^2 + y^3"]),
+])
+def test_radical_membership_beyond_the_ideal_matches_sympy(f, gens):
+    # f lies in the radical of I but not in I itself
+    f, gens = P(f, RING2), [P(g, RING2) for g in gens]
+    I = Ideal(RING2, gens)
+    assert not ideal_membership(f, I)
+    assert rabinowitsch_by_sympy(f, gens, RING2)
+    assert radical_membership(f, I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=polynomials(RING2, 2),
+       gens=st.lists(polynomials(RING2, 2, constant=False), min_size=1, max_size=3),
+       power=st.integers(0, 3))
+def test_radical_membership_matches_sympy(f, gens, power):
+    # with power >= 1, f^power joins the generators, so f lies in the
+    # radical while it need not lie in the ideal
+    if power:
+        gens = gens + [f ** power]
+    assert radical_membership(f, Ideal(RING2, gens)) == rabinowitsch_by_sympy(f, gens, RING2)
 
 
 def test_radical_membership_not_plain_membership():

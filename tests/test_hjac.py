@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from nashblowup.hjac import (
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P
+from conftest import P, as_sympy
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -481,4 +482,43 @@ def test_nash_ideal_generators_are_reduced_mod_F():
     I = nash_ideal(F, 2)
     order = grevlex()
     for g in I.generators:
+        assert normal_form(g, [F], order) == g
+
+
+@pytest.mark.parametrize("text,ring,n", [
+    (CUSP, RING2, 2), (CUSP, RING2, 3), (NODE, RING2, 2), (NODE, RING2, 3),
+    ("x*y - z^2", RING3, 2),
+], ids=["cusp-2", "cusp-3", "node-2", "node-3", "A1-surface-2"])
+def test_nash_ideal_is_the_reduced_basis_by_sympy(text, ring, n):
+    # the generators and F are the monic normal forms modulo F of sympy's
+    # reduced grevlex basis of <F> + (minors), F added
+    F = P(text, ring)
+    symbols = sympy.symbols(ring)
+    f = as_sympy(F, symbols)
+    minors = [as_sympy(d, symbols) for _, d in maximal_minors(F, n) if not d.is_zero()]
+    basis = sympy.groebner([f] + minors, *symbols, order="grevlex", domain="QQ")
+
+    def monic(e):
+        return sympy.expand(e / sympy.Poly(e, *symbols).LC(order="grevlex"))
+
+    expected = {monic(f)}
+    for g in basis.exprs:
+        _, r = sympy.reduced(g, [f], *symbols, order="grevlex")
+        if r != 0:
+            expected.add(monic(r))
+    computed = {sympy.expand(as_sympy(g, symbols)) for g in nash_ideal(F, n).generators}
+    assert computed | {monic(f)} == expected
+
+
+@pytest.mark.parametrize("text,ring,n", [
+    (CUSP, RING2, 3), (NODE, RING2, 2), ("x^2 + y^3 + z^5", RING3, 2),
+    ("1/3*x*y - 2/5*z^4 + 7/4*x^2*z", RING3, 2),
+], ids=["cusp-3", "node-2", "E8-2", "rational-surface-2"])
+def test_nash_ideal_generators_are_monic_and_reduced(text, ring, n):
+    F = P(text, ring)
+    order = grevlex()
+    gens = nash_ideal(F, n).generators
+    assert gens and len(set(gens)) == len(gens)
+    for g in gens:
+        assert g.terms[g.leading_monomial(order)] == 1
         assert normal_form(g, [F], order) == g
