@@ -125,8 +125,9 @@ def _minor_entries(table) -> list[dict]:
             for k, (J, d) in enumerate(table, start=1)]
 
 
-def _minor_lines(entries) -> list[str]:
-    return [f"u_{e['index']} {_label(e['columns'])} = {e['minor']}" for e in entries]
+def _minor_lines(entries, names=None) -> list[str]:
+    names = names or [f"u_{e['index']}" for e in entries]
+    return [f"{u} {_label(e['columns'])} = {e['minor']}" for u, e in zip(names, entries)]
 
 
 def cmd_minors(args) -> int:
@@ -174,7 +175,7 @@ def cmd_limits(args) -> int:
 
     def lines():
         yield f"lambda size {result.lambda_size}"
-        yield from _minor_lines(entries)
+        yield from _minor_lines(entries, result.u_ring)
         yield f"limit ideal (block order): {len(gens)} generators"
         yield from ("  " + g for g in gens)
         yield f"containment oracle: {'pass' if oracle else 'FAIL'}"

@@ -196,8 +196,17 @@ def buchberger(
 ) -> list[Polynomial]:
     """The unique reduced Groebner basis of the ideal of `generators`.
 
+    The generators enter one at a time, fewest terms first and then lowest
+    total degree first (a stable sort, so ties keep their given order).
+    Each is pseudo-reduced by the basis so far; a nonzero remainder joins
+    the basis, its S-pairs are reduced until none is left, and the basis is
+    interreduced before the next generator, so a generator already in the
+    ideal costs one reduction.
+
     Raises BudgetExceededError when a configured cap is hit; never returns a
-    partial answer.  A negative cap is a ValueError.
+    partial answer.  `max_pairs` counts the S-pairs reduced; `max_reductions`
+    counts the steps of every reduction of an input generator or an
+    S-polynomial, but not of interreduction.  A negative cap is a ValueError.
     """
     for name, cap in (("max_pairs", max_pairs), ("max_reductions", max_reductions)):
         if cap is not None and cap < 0:
@@ -207,133 +216,76 @@ def buchberger(
         if not generators:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = generators[0].ring
-    generators = [g.to_ring(ring) for g in generators]
+    generators = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
+    generators.sort(key=lambda t: (len(t), max(map(sum, t))))
     if order is None:
         order = grevlex()
     keyf = order.key_func(ring)
     budget = _Budget(max_reductions)
 
     basis: list[tuple] = []
-    seen = set()
-    for g in generators:
-        terms = _normalize(_cleared(g)[0], keyf)
-        if terms:
-            fs = frozenset(terms.items())
-            if fs not in seen:
-                seen.add(fs)
-                basis.append(_entry(terms, keyf))
-
     # pair queue, normal strategy: smallest lcm in the active order first
     heap: list = []
     pending: set[tuple[int, int]] = set()
     counter = itertools.count()
-
-    def push_pair(i: int, j: int):
-        lcm = _mono_lcm(basis[i][1], basis[j][1])
-        if lcm == _mono_mul(basis[i][1], basis[j][1]):
-            return  # coprime leading monomials: S-poly reduces to zero
-        heapq.heappush(heap, (keyf(lcm), next(counter), i, j, lcm))
-        pending.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
-
     processed = 0
-    while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        # chain criterion: some other lt divides the lcm and both side pairs
-        # are already settled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k][1], lcm):
-                p1 = (min(i, k), max(i, k))
-                p2 = (min(j, k), max(j, k))
-                if p1 not in pending and p2 not in pending:
-                    skip = True
-                    break
-        if skip:
+
+    def add(terms: dict):
+        basis.append(_entry(terms, keyf))
+        new = len(basis) - 1
+        for k in range(new):
+            lcm = _mono_lcm(basis[k][1], basis[new][1])
+            if lcm == _mono_mul(basis[k][1], basis[new][1]):
+                continue  # coprime leading monomials: S-poly reduces to zero
+            heapq.heappush(heap, (keyf(lcm), next(counter), k, new, lcm))
+            pending.add((k, new))
+
+    for terms in generators:
+        r = _normalize(_reduce_int(terms, basis, keyf, budget)[0] if basis else terms, keyf)
+        if not r:
             continue
-        if max_pairs is not None:
-            processed += 1
-            if processed > max_pairs:
-                raise BudgetExceededError("pair budget exceeded")
-        s = _spoly_int(basis[i], basis[j])
-        r = _normalize(_reduce_int(s, basis, keyf, budget)[0], keyf)
-        if r:
-            basis.append(_entry(r, keyf))
-            new = len(basis) - 1
-            for k in range(new):
-                push_pair(k, new)
+        add(r)
+        while heap:
+            _, _, i, j, lcm = heapq.heappop(heap)
+            pending.discard((i, j))
+            # chain criterion: some other lt divides the lcm and both side
+            # pairs are already settled
+            if any(k != i and k != j and _divides(basis[k][1], lcm)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k in range(len(basis))):
+                continue
+            if max_pairs is not None:
+                processed += 1
+                if processed > max_pairs:
+                    raise BudgetExceededError("pair budget exceeded")
+            s = _spoly_int(basis[i], basis[j])
+            r = _normalize(_reduce_int(s, basis, keyf, budget)[0], keyf)
+            if r:
+                add(r)
+        # every S-pair of a reduced basis reduces to zero, so the pairs
+        # settled so far stay settled for the chain criterion
+        basis[:] = _interreduce(basis, keyf)
 
-    return _reduced_from_int(basis, keyf, ring)
-
-
-def incremental_basis(
-    generators: Iterable[Polynomial],
-    order: MonomialOrder | None = None,
-    ring: tuple[str, ...] | None = None,
-) -> list[Polynomial]:
-    """The reduced Groebner basis of the ideal of `generators`, as
-    `buchberger` returns it, for long generator lists that are mostly
-    redundant.
-
-    The first generator starts the basis, so it should be one that the
-    basis needs.  The others follow one at a time, fewest terms first and
-    then lowest degree first (a stable sort, so ties keep their given
-    order).  Each is pseudo-reduced by the basis built so far, and only a
-    nonzero remainder is passed, with that basis, to `buchberger`.
-    """
-    generators = list(generators)
-    if ring is None:
-        if not generators:
-            raise ValueError("cannot infer the ring from an empty generator list")
-        ring = generators[0].ring
-    if order is None:
-        order = grevlex()
-    keyf = order.key_func(ring)
-    budget = _Budget(None)
-    pending = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
-    if not pending:
-        return []
-    entries = [_entry(pending[0], keyf)]
-    basis = _reduced_from_int(entries, keyf, ring)
-    for terms in sorted(pending[1:], key=lambda t: (len(t), max(map(sum, t)))):
-        r = _reduce_int(terms, entries, keyf, budget)[0]
-        if r:
-            r = Polynomial._from_terms(ring, {m: Fraction(v) for m, v in r.items()})
-            basis = buchberger(basis + [r], order, ring)
-            entries = [_entry(_cleared(g)[0], keyf) for g in basis]
-    return basis
+    return [Polynomial(ring, {m: Fraction(v, lc) for m, v in terms.items()})
+            for terms, _, lc in basis]
 
 
-def _reduced_from_int(basis: list[tuple], keyf, ring) -> list[Polynomial]:
-    """Minimalize and tail-reduce an integer basis; return monic polynomials."""
+def _interreduce(basis: list[tuple], keyf) -> list[tuple]:
+    """The reduced basis of a Groebner basis of integer entries, primitive
+    with positive leading coefficients, in increasing order of lt."""
     # minimal: drop entries whose lt is divisible by another surviving lt
-    order_by_lt = sorted(range(len(basis)), key=lambda i: keyf(basis[i][1]))
     kept: list[tuple] = []
-    for i in order_by_lt:
-        lt = basis[i][1]
-        if not any(_divides(e[1], lt) for e in kept):
-            kept.append(basis[i])
+    for entry in sorted(basis, key=lambda e: keyf(e[1])):
+        if not any(_divides(e[1], entry[1]) for e in kept):
+            kept.append(entry)
     # tail-reduce each element against the others
     budget = _Budget(None)
     reduced = []
     for i, entry in enumerate(kept):
-        others = [e for j, e in enumerate(kept) if j != i]
-        r = _reduce_int(entry[0], others, keyf, budget)[0] if others else entry[0]
-        reduced.append(_normalize(r, keyf))
-    out = []
-    for terms in reduced:
-        lt = max(terms, key=keyf)
-        lc = terms[lt]
-        poly = Polynomial(ring, {m: Fraction(v, lc) for m, v in terms.items()})
-        out.append(poly)
-    out.sort(key=lambda p: keyf(max(p.terms, key=keyf)))
-    return out
+        r = _reduce_int(entry[0], kept[:i] + kept[i + 1:], keyf, budget)[0]
+        reduced.append(_entry(_normalize(r, keyf), keyf))
+    return reduced
 
 
 # -- public rational-arithmetic operations -------------------------------------

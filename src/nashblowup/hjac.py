@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import linalg
 from . import multiindex as mi
-from .groebner import Ideal, incremental_basis, normal_form
+from .groebner import Ideal, buchberger, normal_form
 from .polynomial import Polynomial, grevlex, make_point
 
 
@@ -262,15 +262,16 @@ def nash_ideal(F: Polynomial, n: int) -> Ideal:
     """The ideal generated by the maximal minors, as a reduced basis modulo <F>.
 
     Generators are the nonzero normal forms modulo F, made monic and with
-    duplicates dropped, of the reduced grevlex basis of <F> + (minors); that
-    basis is built by `incremental_basis`, so each minor in the ideal of
-    those before it costs one reduction.  F is assumed irreducible
-    (documented precondition, not verified).
+    duplicates dropped, of the reduced grevlex basis of <F> + (minors).
+    `buchberger` takes the generators one at a time and keeps its basis
+    reduced, so each minor already in the ideal of those before it costs
+    one reduction.  F is assumed irreducible (documented precondition, not
+    verified).
     """
     order = grevlex()
     minors = [minor for _, minor in maximal_minors(F, n)]
     gens: list[Polynomial] = []
-    for g in incremental_basis([F] + minors, order, F.ring):
+    for g in buchberger([F] + minors, order, F.ring):
         nf = normal_form(g, [F], order)
         if nf.is_zero():
             continue

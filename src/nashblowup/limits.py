@@ -28,18 +28,13 @@ class LimitIdealResult:
     n: int
     center: tuple[Fraction, ...]
     minors: tuple[tuple[tuple[int, ...], Polynomial], ...]
+    u_ring: tuple[str, ...]  # one name per minor, none of them in F.ring
     generators: tuple[Polynomial, ...]  # in the u-ring
     planes: tuple[tuple[tuple[Fraction, ...], ...], ...] | None
 
     @property
     def lambda_size(self) -> int:
         return len(self.minors)
-
-    @property
-    def u_ring(self) -> tuple[str, ...]:
-        if self.generators:
-            return self.generators[0].ring
-        return tuple(f"u_{k}" for k in range(1, self.lambda_size + 1))
 
 
 def translate_to_origin(F: Polynomial, center) -> Polynomial:
@@ -101,6 +96,7 @@ def limit_ideal(
         n=n,
         center=center,
         minors=minors,
+        u_ring=unames,
         generators=tuple(reduced),
         planes=planes,
     )

@@ -190,7 +190,7 @@ def test_criterion_5_surface_oracle():
         gens = surface_reference_basis(u_ring)
         result = limits.LimitIdealResult(
             F=F, n=2, center=(Fraction(0),) * 3,
-            minors=minors, generators=tuple(gens), planes=None)
+            minors=minors, u_ring=u_ring, generators=tuple(gens), planes=None)
         # no reference generator has a constant term: at this singular
         # center that is all u_J -> t*Delta_J, reduction modulo <F> and
         # x = 0 can test

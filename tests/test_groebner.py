@@ -14,7 +14,6 @@ from nashblowup.groebner import (
     eliminate,
     ideal_equal,
     ideal_membership,
-    incremental_basis,
     normal_form,
     radical_membership,
     s_polynomial,
@@ -184,17 +183,6 @@ def sympy_basis(gens, symbols, order):
     return {sympy.expand(p.as_expr() / p.LC(order=order)) for p in basis.polys}
 
 
-@settings(max_examples=40, deadline=None)
-@given(gens=st.lists(polynomials(RING3, 1), min_size=2, max_size=4).filter(
-           lambda gs: any(not g.is_zero() for g in gs)),
-       order=st.sampled_from(sorted(ORDERS)))
-def test_buchberger_matches_sympy(gens, order):
-    symbols = sympy.symbols(RING3)
-    ours = buchberger(gens, ORDERS[order], RING3)
-    assert {sympy.expand(as_sympy(g, symbols)) for g in ours} == \
-        sympy_basis(gens, symbols, order)
-
-
 def redundant_combinations(gens, draw):
     """Elements of the ideal of `gens`: sums of monomial multiples of them."""
     out = []
@@ -208,29 +196,31 @@ def redundant_combinations(gens, draw):
     return out
 
 
-@settings(max_examples=30, deadline=None)
-@given(gens=st.lists(polynomials(RING3, 1), min_size=1, max_size=3).filter(
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(polynomials(RING3, 1), min_size=2, max_size=4).filter(
            lambda gs: any(not g.is_zero() for g in gs)),
        order=st.sampled_from(sorted(ORDERS)),
        data=st.data())
-def test_incremental_basis_matches_buchberger(gens, order, data):
-    # the first generator starts the basis; the padding, redundant by
-    # construction, lands anywhere after it
-    padded = gens[:1] + data.draw(st.permutations(
-        gens[1:] + redundant_combinations(gens, data.draw)))
-    assert incremental_basis(padded, ORDERS[order], RING3) == \
-        buchberger(gens, ORDERS[order], RING3)
+def test_buchberger_matches_sympy(gens, order, data):
+    # the drawn generators padded with elements of their ideal, which the
+    # engine meets in any order and must find redundant
+    padded = data.draw(st.permutations(gens + redundant_combinations(gens, data.draw)))
+    symbols = sympy.symbols(RING3)
+    ours = buchberger(padded, ORDERS[order], RING3)
+    assert {sympy.expand(as_sympy(g, symbols)) for g in ours} == \
+        sympy_basis(gens, symbols, order)
 
 
-def test_incremental_basis_edge_cases():
-    assert incremental_basis([], grevlex(), RING2) == []
-    assert incremental_basis([Polynomial.zero(RING2)], grevlex(), RING2) == []
+def test_buchberger_edge_cases():
+    assert buchberger([], grevlex(), RING2) == []
+    assert buchberger([Polynomial.zero(RING2)], grevlex(), RING2) == []
     with pytest.raises(ValueError, match="empty generator list"):
-        incremental_basis([])
+        buchberger([])
     # a redundant first generator still gives the reduced basis
     gens = [P("x^2*y - x*y", RING2), P("x*y", RING2), P("2*x^3 + y", RING2)]
-    assert incremental_basis(gens, lex()) == buchberger(gens, lex())
-    assert incremental_basis([P("2*x + 1", RING2), P("x", RING2)]) == [P("1", RING2)]
+    assert buchberger(gens, lex()) == \
+        [P("y^2", RING2), P("x*y", RING2), P("x^3 + 1/2*y", RING2)]
+    assert buchberger([P("2*x + 1", RING2), P("x", RING2)]) == [P("1", RING2)]
 
 
 def test_reduced_basis_permutation_invariant():
@@ -263,6 +253,13 @@ def test_budget_exceeded():
         buchberger(gens, lex(), RING3, max_pairs=2)
     with pytest.raises(BudgetExceededError):
         buchberger(gens, lex(), RING3, max_reductions=5)
+    # reducing an input generator counts: x + y^2 reduces to y^2 by x in
+    # two steps, and the basis {x, y^2} has no S-pair to reduce
+    gens = [P("x", RING2), P("x + y^2", RING2)]
+    with pytest.raises(BudgetExceededError, match="reduction budget"):
+        buchberger(gens, grevlex(), RING2, max_reductions=1)
+    assert buchberger(gens, grevlex(), RING2, max_reductions=2) == \
+        [P("x", RING2), P("y^2", RING2)]
 
 
 def test_negative_budget_is_an_input_error():
