@@ -9,7 +9,6 @@ from .groebner import (
     ideal_membership,
     normal_form,
     radical_membership,
-    s_polynomial,
 )
 from .hilbert import MonomialIdeal, graded_dim, local_hilbert, nonsingular_by_dimension
 from .hjac import (
@@ -17,8 +16,6 @@ from .hjac import (
     PointNotOnHypersurfaceError,
     SingularPointError,
     build,
-    det,
-    divexact,
     evaluate_at,
     is_singular,
     maximal_minors,

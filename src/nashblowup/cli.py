@@ -166,7 +166,7 @@ def cmd_limits(args) -> int:
                      "lambda_size": len(entries),
                      "minors": entries,
                      "error": str(exc)},
-              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries),
+              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries, exc.u_ring),
                        f"resource budget exceeded: {exc}"])
         return EXIT_BUDGET
     oracle = limits.containment_oracle(result)

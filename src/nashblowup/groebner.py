@@ -27,7 +27,8 @@ class BudgetExceededError(RuntimeError):
     """A configured resource cap (pairs or reduction steps) was hit.
 
     Raised from `limits.limit_ideal`, it carries the minor table computed
-    before the abort as `minors`.
+    before the abort as `minors`, and the names of the u variables, one per
+    minor, as `u_ring`.
     """
 
 
@@ -302,19 +303,6 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | N
     terms, denom = _cleared(f)
     remainder, scale = _reduce_int(terms, divisors, keyf, _Budget(None))
     return Polynomial(f.ring, {m: Fraction(v, denom * scale) for m, v in remainder.items()})
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    """S(f, g) built from the monic normalizations of f and g."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial is undefined")
-    if order is None:
-        order = grevlex()
-    f._check_ring(g)
-    keyf = order.key_func(f.ring)
-    ef, eg = (_entry(_normalize(_cleared(p)[0], keyf), keyf) for p in (f, g))
-    d = lcm(ef[2], eg[2])
-    return Polynomial(f.ring, {m: Fraction(v, d) for m, v in _spoly_int(ef, eg).items()})
 
 
 def eliminate(

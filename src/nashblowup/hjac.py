@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from . import linalg
 from . import multiindex as mi
@@ -126,48 +125,7 @@ def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
     return basis
 
 
-# -- determinants and minors ---------------------------------------------------
-
-
-def divexact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact polynomial division f / g; raises if g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    order = grevlex()
-    keyf = order.key_func(f.ring)
-    g_lt = max(g.terms, key=keyf)
-    g_lc = g.terms[g_lt]
-    work = dict(f.terms)
-    quotient: dict = {}
-    while work:
-        lt = max(work, key=keyf)
-        if not all(a <= b for a, b in zip(g_lt, lt)):
-            raise ValueError("inexact polynomial division")
-        qm = tuple(b - a for a, b in zip(g_lt, lt))
-        qc = work[lt] / g_lc
-        quotient[qm] = qc
-        for m, v in g.terms.items():
-            mm = tuple(a + b for a, b in zip(m, qm))
-            acc = work.get(mm, Fraction(0)) - qc * v
-            if acc:
-                work[mm] = acc
-            elif mm in work:
-                del work[mm]
-    return Polynomial(f.ring, quotient)
-
-
-def det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Determinant of a square polynomial matrix by the fraction-free
-    elimination of `linalg`, dividing exactly with `divexact`."""
-    size = len(matrix)
-    if size == 0:
-        raise ValueError("empty matrix")
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    pivots, sign, last = linalg._eliminate([list(row) for row in matrix], divexact)
-    return sign * last if len(pivots) == size else Polynomial.zero(matrix[0][0].ring)
+# -- minors --------------------------------------------------------------------
 
 
 def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynomial]]:
@@ -180,8 +138,7 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
-    the matrix; dense fraction-free elimination (see `det`) serves as the
-    independent cross-check.  The expansion runs on integers: the entries
+    the matrix.  The expansion runs on integers: the entries
     are scaled by the common denominator d of their coefficients, and every
     exponent vector is packed into one int with (M*deg F).bit_length() bits
     per variable, so that a product of M entries, of degree at most

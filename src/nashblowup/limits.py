@@ -82,6 +82,7 @@ def limit_ideal(
                        max_pairs=max_pairs, max_reductions=max_reductions)
     except BudgetExceededError as exc:
         exc.minors = minors
+        exc.u_ring = unames
         raise
     zero_x = {v: 0 for v in F.ring}
     projected: list[Polynomial] = []

@@ -1,31 +1,28 @@
 """Exact linear algebra over Q: rank, RREF and kernels, all read off one
 fraction-free Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
-denominators.  `hjac.det` runs the same elimination on polynomial rows to
-get determinants."""
+denominators."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import floordiv
 from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def _eliminate(work: list[list], divide=floordiv) -> tuple[list[int], int, object]:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination of `work` in place,
-    over an integral domain whose exact division is `divide`: at each pivot p,
-    every other row becomes (p * row - row[col] * pivot row) / previous pivot.
+def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows in
+    place: at each pivot p, every other row becomes
+    (p * row - row[col] * pivot row) // previous pivot, an exact division.
 
     Pivot columns end cleared above and below, every pivot entry ends equal
     to the last pivot, and rows past the rank end zero.  Returns the pivot
-    columns, the sign of the row permutation and the last pivot, which for a
-    square matrix of full rank is that sign times the determinant."""
+    columns and the last pivot."""
     m = len(work)
     pivots: list[int] = []
-    sign, prev = 1, 1
+    prev = 1
     for col in range(len(work[0]) if work else 0):
         r = len(pivots)
         if r == m:
@@ -35,7 +32,6 @@ def _eliminate(work: list[list], divide=floordiv) -> tuple[list[int], int, objec
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            sign = -sign
         top = work[r]
         p = top[col]
         for i, row in enumerate(work):
@@ -44,10 +40,10 @@ def _eliminate(work: list[list], divide=floordiv) -> tuple[list[int], int, objec
                 if prev == 1:
                     row[:] = [p * a - f * b for a, b in zip(row, top)]
                 else:
-                    row[:] = [divide(p * a - f * b, prev) for a, b in zip(row, top)]
+                    row[:] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(col)
         prev = p
-    return pivots, sign, prev
+    return pivots, prev
 
 
 def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -69,7 +65,7 @@ def rank(rows: Sequence[Sequence]) -> int:
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact over Q."""
     work, _ = _cleared(rows)
-    pivots, _, last = _eliminate(work)
+    pivots, last = _eliminate(work)
     return [[Fraction(x, last) for x in row] for row in work], pivots
 
 

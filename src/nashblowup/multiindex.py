@@ -51,16 +51,6 @@ def factorial(alpha: MultiIndex) -> int:
     return result
 
 
-def multi_binomial(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients; requires beta <= alpha."""
-    if not leq(beta, alpha):
-        raise ValueError(f"binomial undefined: {beta} is not <= {alpha}")
-    result = 1
-    for a, b in zip(alpha, beta):
-        result *= math.comb(a, b)
-    return result
-
-
 def canonical_key(alpha: MultiIndex) -> tuple:
     """Sort key realizing the canonical enumeration order.
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import settings
+from sympy.polys.matrices import DomainMatrix
 
 from nashblowup.limits import limit_ideal
 from nashblowup.parser import parse_polynomial
+from nashblowup.polynomial import Polynomial
 
 # the same examples on every run, so that a failure repeats and the suite's
 # time does not change with the draw; @settings on a test keeps this
@@ -30,6 +32,27 @@ def as_sympy(f, symbols):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*[v ** e for v, e in zip(symbols, m)])
                 for m, c in f.terms.items()), sympy.Integer(0))
+
+
+def sympy_det(rows):
+    """Determinant of a square matrix of Polynomials over one ring, taken by
+    sympy's DomainMatrix and converted back to a Polynomial."""
+    ring = rows[0][0].ring
+    symbols = sympy.symbols(ring)
+    matrix = DomainMatrix.from_list_sympy(
+        len(rows), len(rows), [[as_sympy(e, symbols) for e in row] for row in rows])
+    det = sympy.Poly(matrix.domain.to_sympy(matrix.det()), *symbols)
+    return Polynomial(ring, {m: Fraction(c.p, c.q)
+                             for m, c in det.as_dict().items()})
+
+
+def s_poly(f, g, order):
+    """S(f, g) = m_f*f - m_g*g with m_p = (lcm(lt f, lt g) / lt p) / lc p."""
+    lt_f, lt_g = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = tuple(max(a, b) for a, b in zip(lt_f, lt_g))
+    m_f = Polynomial(f.ring, {tuple(a - b for a, b in zip(lcm, lt_f)): 1 / f.terms[lt_f]})
+    m_g = Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, lt_g)): 1 / g.terms[lt_g]})
+    return m_f * f - m_g * g
 
 
 # limit ideals at the origin at n=2, computed once per session: the node

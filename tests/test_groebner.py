@@ -16,11 +16,10 @@ from nashblowup.groebner import (
     ideal_membership,
     normal_form,
     radical_membership,
-    s_polynomial,
 )
 from nashblowup.polynomial import Polynomial, elimination_order, grevlex, grlex, lex
 
-from conftest import P, as_sympy
+from conftest import P, as_sympy, s_poly
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -88,37 +87,12 @@ def test_normal_form_matches_sympy(f, gens, scales):
 
 
 def test_s_polynomial_fixture():
+    # conftest.s_poly, the reference the S-pair self-checks rely on
     f = P("x^2 - y", RING2)
     g = P("x*y - 1", RING2)
-    s = s_polynomial(f, g, lex())
+    s = s_poly(f, g, lex())
     # lcm(x^2, xy) = x^2 y: y*f - x*g = -y^2 + x
     assert s == P("x - y^2", RING2)
-
-
-def test_s_polynomial_coprime_leading_terms():
-    # Buchberger's first criterion case: S-poly reduces to zero by {f, g}
-    f = P("x^2 + 1", RING2)
-    g = P("y^2 + 1", RING2)
-    s = s_polynomial(f, g, lex())
-    assert normal_form(s, [f, g], lex()).is_zero()
-
-
-@settings(max_examples=60, deadline=None)
-@given(f=polynomials(RING3, 3).filter(lambda p: not p.is_zero()),
-       g=polynomials(RING3, 3).filter(lambda p: not p.is_zero()),
-       order=st.sampled_from([lex(), grlex(), grevlex()]))
-def test_s_polynomial_matches_monic_definition(f, g, order):
-    # S(f, g) = m_f*f - m_g*g with m_p = (lcm(lt f, lt g) / lt p) / lc p
-    lt_f, lt_g = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = tuple(max(a, b) for a, b in zip(lt_f, lt_g))
-    m_f = Polynomial(RING3, {tuple(a - b for a, b in zip(lcm, lt_f)): 1 / f.terms[lt_f]})
-    m_g = Polynomial(RING3, {tuple(a - b for a, b in zip(lcm, lt_g)): 1 / g.terms[lt_g]})
-    assert s_polynomial(f, g, order) == m_f * f - m_g * g
-
-
-def test_s_polynomial_of_zero_rejected():
-    with pytest.raises(ValueError):
-        s_polynomial(Polynomial.zero(RING2), P("x", RING2))
 
 
 # -- buchberger ---------------------------------------------------------------
@@ -169,7 +143,7 @@ def test_buchberger_every_spoly_reduces():
         ring = gens[0].ring
         basis = buchberger(gens, order, ring)
         for f, g in itertools.combinations(basis, 2):
-            s = s_polynomial(f, g, order)
+            s = s_poly(f, g, order)
             assert normal_form(s, basis, order).is_zero()
 
 

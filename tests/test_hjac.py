@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,8 +14,6 @@ from nashblowup.hjac import (
     PointNotOnHypersurfaceError,
     SingularPointError,
     build,
-    det,
-    divexact,
     evaluate_at,
     is_singular,
     maximal_minors,
@@ -28,7 +25,7 @@ from nashblowup.hjac import (
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P, as_sympy
+from conftest import P, as_sympy, sympy_det
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -291,59 +288,19 @@ def test_echelon_after_coordinate_permutation():
 # -- determinants and minors -----------------------------------------------
 
 
-def test_divexact():
-    f = P("x^2 - y^2", RING2)
-    g = P("x + y", RING2)
-    assert divexact(f, g) == P("x - y", RING2)
-    with pytest.raises(ValueError):
-        divexact(P("x^2 + 1", RING2), g)
-
-
-def test_det_fixtures():
-    x, y = Polynomial.variables(RING2)
-    one = Polynomial.constant(RING2, 1)
-    zero = Polynomial.zero(RING2)
-    assert det([[x]]) == x
-    assert det([[x, y], [y, x]]) == x * x - y * y
-    # singular matrix
-    assert det([[x, y], [x, y]]) == zero
-    # needs a row swap
-    assert det([[zero, one], [one, zero]]) == -one
-
-
 def test_det_row_swaps_and_singular_3x3():
+    # the test-side reference determinant, on fixtures whose values are known
     x, y = Polynomial.variables(RING2)
     one = Polynomial.constant(RING2, 1)
     zero = Polynomial.zero(RING2)
     # a zero first pivot: one swap, so the sign flips
-    assert det([[zero, x, y], [x, zero, one], [y, one, zero]]) == (x * y).scalar_mul(2)
+    assert sympy_det([[zero, x, y], [x, zero, one], [y, one, zero]]) == (x * y).scalar_mul(2)
     # the second pivot vanishes only after the first step: a swap mid-way
-    assert det([[x, y, one], [x, y, x], [one, one, one]]) == x * y - x * x + x - y
+    assert sympy_det([[x, y, one], [x, y, x], [one, one, one]]) == x * y - x * x + x - y
     # the second row is x times the first
-    assert det([[x, y, one], [x * x, x * y, x], [one, x, y]]) == zero
+    assert sympy_det([[x, y, one], [x * x, x * y, x], [one, x, y]]) == zero
     # rank 1: every row a multiple of the first
-    assert det([[x, y, one], [y * x, y * y, y], [-x, -y, -one]]) == zero
-
-
-def test_det_against_cofactor_expansion():
-    rng = random.Random(7)
-
-    def cofactor(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = Polynomial.zero(RING2)
-        for j in range(len(m)):
-            sub = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * cofactor(sub)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-    for _ in range(5):
-        size = rng.randint(2, 3)
-        m = [[Polynomial(RING2, {(rng.randint(0, 1), rng.randint(0, 1)):
-                                 Fraction(rng.randint(-3, 3))})
-              for _ in range(size)] for _ in range(size)]
-        assert det(m) == cofactor(m)
+    assert sympy_det([[x, y, one], [y * x, y * y, y], [-x, -y, -one]]) == zero
 
 
 def test_minors_cusp_fixtures():
@@ -359,17 +316,19 @@ def test_minors_cusp_fixtures():
     assert by_cols[(2, 3, 4)] == P("12*x*y^2 - 9*x^4", RING2)
 
 
+def dense_minor(jac, J):
+    return sympy_det([[jac.entries[i][j] for j in J] for i in range(jac.num_rows)])
+
+
 def test_minors_match_dense_determinants():
-    # the sparse wedge expansion against the fraction-free elimination route
+    # the sparse wedge expansion against sympy's dense determinant
     for text, ring, n in ((CUSP, RING2, 2), (NODE, RING2, 2), (SURF, RING3, 2)):
         F = P(text, ring)
         jac = build(F, n)
         table = maximal_minors(F, n)
         sample = table if len(table) <= 12 else table[::11]
         for J, d in sample:
-            dense = det([[jac.entries[i][j] for j in J]
-                         for i in range(jac.num_rows)])
-            assert d == dense
+            assert d == dense_minor(jac, J)
 
 
 def test_minors_one_by_one():
@@ -380,10 +339,6 @@ def test_minors_one_by_one():
 
 def test_minor_count_for_surface():
     assert len(maximal_minors(P(SURF, RING3), 2)) == math.comb(9, 4)
-
-
-def dense_minor(jac, J):
-    return det([[jac.entries[i][j] for j in J] for i in range(jac.num_rows)])
 
 
 def non_integral_polynomials(ring):

