@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .polynomial import (
     MonomialOrder,
     Polynomial,
+    _collect,
     _fresh,
     elimination_order,
     grevlex,
@@ -49,16 +50,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
 
-    def groebner_basis(
-        self,
-        order: MonomialOrder | None = None,
-        max_pairs: int | None = None,
-        max_reductions: int | None = None,
-    ) -> tuple[Polynomial, ...]:
-        """The reduced Groebner basis for the order, computed on each call."""
-        return tuple(buchberger(self.generators, order, self.ring,
-                                max_pairs=max_pairs, max_reductions=max_reductions))
-
 
 # -- internal integer representation ------------------------------------------
 
@@ -78,17 +69,19 @@ def _cleared(f: Polynomial) -> tuple[dict, int]:
     return {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
 
-def _normalize(terms: dict, keyf) -> dict:
-    """Primitive with positive leading coefficient; empty dict for zero."""
+def _entry(terms: dict, keyf) -> tuple | None:
+    """The basis entry (terms, lt, lc) of integer `terms`, made primitive
+    with positive leading coefficient lc at leading monomial lt; None for
+    zero."""
     if not terms:
-        return terms
+        return None
     cont = _content(terms)
     lt = max(terms, key=keyf)
     if terms[lt] < 0:
         cont = -cont
     if cont != 1:
         terms = {m: v // cont for m, v in terms.items()}
-    return terms
+    return terms, lt, terms[lt]
 
 
 def _divides(a: tuple, b: tuple) -> bool:
@@ -167,25 +160,12 @@ def _spoly_int(f: tuple, g: tuple) -> dict:
     lcm = _mono_lcm(f_lt, g_lt)
     d = gcd(f_lc, g_lc)
     cf = g_lc // d
-    cg = f_lc // d
+    cg = -(f_lc // d)
     sf = _mono_sub(lcm, f_lt)
     sg = _mono_sub(lcm, g_lt)
-    out: dict = {}
-    for m, v in f_terms.items():
-        out[_mono_mul(m, sf)] = cf * v
-    for m, v in g_terms.items():
-        mm = _mono_mul(m, sg)
-        acc = out.get(mm, 0) - cg * v
-        if acc:
-            out[mm] = acc
-        elif mm in out:
-            del out[mm]
-    return out
-
-
-def _entry(terms: dict, keyf) -> tuple:
-    lt = max(terms, key=keyf)
-    return (terms, lt, terms[lt])
+    pairs = [(_mono_mul(m, sf), cf * v) for m, v in f_terms.items()]
+    pairs += [(_mono_mul(m, sg), cg * v) for m, v in g_terms.items()]
+    return _collect(pairs)
 
 
 def buchberger(
@@ -231,8 +211,8 @@ def buchberger(
     counter = itertools.count()
     processed = 0
 
-    def add(terms: dict):
-        basis.append(_entry(terms, keyf))
+    def add(entry: tuple):
+        basis.append(entry)
         new = len(basis) - 1
         for k in range(new):
             lcm = _mono_lcm(basis[k][1], basis[new][1])
@@ -242,10 +222,10 @@ def buchberger(
             pending.add((k, new))
 
     for terms in generators:
-        r = _normalize(_reduce_int(terms, basis, keyf, budget)[0] if basis else terms, keyf)
-        if not r:
+        entry = _entry(_reduce_int(terms, basis, keyf, budget)[0] if basis else terms, keyf)
+        if entry is None:
             continue
-        add(r)
+        add(entry)
         while heap:
             _, _, i, j, lcm = heapq.heappop(heap)
             pending.discard((i, j))
@@ -261,9 +241,9 @@ def buchberger(
                 if processed > max_pairs:
                     raise BudgetExceededError("pair budget exceeded")
             s = _spoly_int(basis[i], basis[j])
-            r = _normalize(_reduce_int(s, basis, keyf, budget)[0], keyf)
-            if r:
-                add(r)
+            entry = _entry(_reduce_int(s, basis, keyf, budget)[0], keyf)
+            if entry is not None:
+                add(entry)
         # every S-pair of a reduced basis reduces to zero, so the pairs
         # settled so far stay settled for the chain criterion
         basis[:] = _interreduce(basis, keyf)
@@ -285,7 +265,7 @@ def _interreduce(basis: list[tuple], keyf) -> list[tuple]:
     reduced = []
     for i, entry in enumerate(kept):
         r = _reduce_int(entry[0], kept[:i] + kept[i + 1:], keyf, budget)[0]
-        reduced.append(_entry(_normalize(r, keyf), keyf))
+        reduced.append(_entry(r, keyf))
     return reduced
 
 
@@ -298,7 +278,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | N
     if order is None:
         order = grevlex()
     keyf = order.key_func(f.ring)
-    divisors = [_entry(_normalize(_cleared(g.to_ring(f.ring))[0], keyf), keyf)
+    divisors = [_entry(_cleared(g.to_ring(f.ring))[0], keyf)
                 for g in G if not g.is_zero()]
     terms, denom = _cleared(f)
     remainder, scale = _reduce_int(terms, divisors, keyf, _Budget(None))
@@ -340,7 +320,7 @@ def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None
         return True
     if order is None:
         order = grevlex()
-    basis = I.groebner_basis(order)
+    basis = buchberger(I.generators, order, I.ring)
     return normal_form(f, basis, order).is_zero()
 
 
@@ -350,7 +330,7 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None) -> bool:
         raise ValueError(f"ideals in different rings: {I.ring} vs {J.ring}")
     if order is None:
         order = grevlex()
-    return I.groebner_basis(order) == J.groebner_basis(order)
+    return buchberger(I.generators, order, I.ring) == buchberger(J.generators, order, J.ring)
 
 
 def radical_membership(f: Polynomial, I: Ideal, **budget) -> bool:

@@ -72,20 +72,14 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     rows = tuple(mi.enumerate_indices(s, 0, n - 1))
     cols = tuple(mi.enumerate_indices(s, 1, n))
     zero = Polynomial.zero(F.ring)
-    entries = []
-    cache: dict[mi.MultiIndex, Polynomial] = {}
-    for beta in rows:
-        row = []
-        for alpha in cols:
-            if mi.leq(beta, alpha):
-                diff = mi.sub(alpha, beta)
-                if diff not in cache:
-                    cache[diff] = F.taylor_coeff(diff)
-                row.append(cache[diff])
-            else:
-                row.append(zero)
-        entries.append(tuple(row))
-    return HigherJacobian(F, n, rows, cols, tuple(entries))
+    # one Polynomial per Taylor coefficient, shared by every cell with that
+    # alpha - beta: `evaluate_at` and `maximal_minors` deduplicate by id().
+    # A difference with a negative entry is not a key, so its cell is zero.
+    taylor = {gamma: F.taylor_coeff(gamma) for gamma in mi.enumerate_indices(s, 0, n)}
+    entries = tuple(
+        tuple(taylor.get(tuple(a - b for a, b in zip(alpha, beta)), zero) for alpha in cols)
+        for beta in rows)
+    return HigherJacobian(F, n, rows, cols, entries)
 
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:

@@ -127,12 +127,18 @@ def _rational_sqrt(c: Fraction) -> Fraction | None:
     return None
 
 
-def _linear_row(g: Polynomial) -> list[Fraction]:
-    row = [Fraction(0)] * g.num_vars
-    for mono, coeff in g.terms.items():
-        i = next(k for k, e in enumerate(mono) if e)
-        row[i] = coeff
+def _row(n: int, entries: dict[int, Fraction | int]) -> list[Fraction]:
+    """A row of n coefficients, zero outside {position: value} `entries`."""
+    row = [Fraction(0)] * n
+    for i, c in entries.items():
+        row[i] = Fraction(c)
     return row
+
+
+def _linear_row(g: Polynomial) -> list[Fraction]:
+    if g.constant_term():
+        raise _Unsupported  # the zero set is affine, not a linear subspace
+    return _row(g.num_vars, {mono.index(1): c for mono, c in g.terms.items()})
 
 
 def _substitution_from_rows(ring, rows):
@@ -178,9 +184,7 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
                     forced = support[0]
                     break
         if forced is not None:
-            row = [Fraction(0)] * len(ring)
-            row[forced] = Fraction(1)
-            rows = rows + [row]
+            rows = rows + [_row(len(ring), {forced: 1})]
             continue
         break
 
@@ -199,9 +203,8 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
         mono = next(iter(g.terms))
         for i, e in enumerate(mono):
             if e:
-                row = [Fraction(0)] * len(ring)
-                row[i] = Fraction(1)
-                _solve_branches(ring, rest, rows + [row], out, seen, depth + 1)
+                _solve_branches(ring, rest, rows + [_row(len(ring), {i: 1})],
+                                out, seen, depth + 1)
         return
     if len(g.terms) == 2:
         (m1, c1), (m2, c2) = g.terms.items()
@@ -210,9 +213,8 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
             # pull out the shared monomial factor and branch
             for i, e in enumerate(common):
                 if e:
-                    row = [Fraction(0)] * len(ring)
-                    row[i] = Fraction(1)
-                    _solve_branches(ring, rest, rows + [row], out, seen, depth + 1)
+                    _solve_branches(ring, rest, rows + [_row(len(ring), {i: 1})],
+                                    out, seen, depth + 1)
             quotient = Polynomial(g.ring, {
                 tuple(a - c for a, c in zip(m1, common)): c1,
                 tuple(a - c for a, c in zip(m2, common)): c2,
@@ -226,9 +228,7 @@ def _solve_branches(ring, gens, rows, out, seen, depth=0):
             root = _rational_sqrt(-c2 / c1)
             if root is not None:
                 for sgn in (1, -1):
-                    row = [Fraction(0)] * len(ring)
-                    row[s1[0]] = Fraction(1)
-                    row[s2[0]] = sgn * root
+                    row = _row(len(ring), {s1[0]: 1, s2[0]: sgn * root})
                     _solve_branches(ring, rest, rows + [row], out, seen, depth + 1)
                 return
     raise _Unsupported

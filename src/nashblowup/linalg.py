@@ -46,25 +46,24 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of the lcms."""
-    work, scale = [], 1
+def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators."""
+    work = []
     for row in rows:
         frs = [Fraction(x) for x in row]
         denom = lcm(*(c.denominator for c in frs))
-        scale *= denom
         work.append([c.numerator * (denom // c.denominator) for c in frs])
-    return work, scale
+    return work
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank: the number of pivots."""
-    return len(_eliminate(_cleared(rows)[0])[0])
+    return len(_eliminate(_cleared(rows))[0])
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact over Q."""
-    work, _ = _cleared(rows)
+    work = _cleared(rows)
     pivots, last = _eliminate(work)
     return [[Fraction(x, last) for x in row] for row in work], pivots
 

@@ -35,6 +35,23 @@ def make_point(coords: Iterable) -> Point:
     return tuple(_coerce_scalar(c) for c in coords)
 
 
+def _collect(pairs: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict:
+    """{monomial: sum of its coefficients} over (monomial, coefficient)
+    pairs, without the monomials whose sum is zero.  Monomials keep the
+    order of their first pairs; one whose running sum hits zero is dropped,
+    and goes last if it returns."""
+    out: dict = {}
+    for mono, c in pairs:
+        acc = out.get(mono)
+        if acc is not None:
+            c += acc
+        if c:
+            out[mono] = c
+        elif acc is not None:
+            del out[mono]
+    return out
+
+
 def _fresh(name: str, taken) -> str:
     """`name`, or `name_0`, `name_1`, ...: the first one not in `taken`."""
     candidate = name
@@ -56,7 +73,7 @@ class Polynomial:
             raise ValueError("ring needs at least one variable")
         if len(set(ring)) != len(ring):
             raise ValueError(f"duplicate variable names: {ring}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         if terms:
             s = len(ring)
             for mono, coeff in terms.items():
@@ -65,19 +82,9 @@ class Polynomial:
                     raise ValueError(f"exponent tuple {mono} has wrong length for ring {ring}")
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
-                c = _coerce_scalar(coeff)
-                if c:
-                    acc = clean.get(mono)
-                    if acc is None:
-                        clean[mono] = c
-                    else:
-                        acc += c
-                        if acc:
-                            clean[mono] = acc
-                        else:
-                            del clean[mono]
+                pairs.append((mono, _coerce_scalar(coeff)))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _collect(pairs))
         object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
@@ -169,18 +176,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = c
-            else:
-                acc += c
-                if acc:
-                    terms[mono] = acc
-                else:
-                    del terms[mono]
-        return Polynomial._from_terms(self.ring, terms)
+        return Polynomial._from_terms(
+            self.ring, _collect([*self.terms.items(), *other.terms.items()]))
 
     __radd__ = __add__
 
@@ -203,21 +200,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = c
-                else:
-                    acc += c
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        del terms[mono]
-        return Polynomial._from_terms(self.ring, terms)
+        return Polynomial._from_terms(self.ring, _collect(
+            (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -255,13 +240,10 @@ class Polynomial:
             for e, a in zip(mono, alpha):
                 for j in range(e, e - a, -1):
                     factor *= j
-            new = tuple(e - a for e, a in zip(mono, alpha))
-            acc = terms.get(new, Fraction(0)) + c * factor
-            if acc:
-                terms[new] = acc
-            elif new in terms:
-                del terms[new]
-        return Polynomial(self.ring, terms)
+            # mono -> mono - alpha is one-to-one, so no two terms meet, and
+            # factor > 0 keeps every coefficient nonzero
+            terms[tuple(e - a for e, a in zip(mono, alpha))] = c * factor
+        return Polynomial._from_terms(self.ring, terms)
 
     def taylor_coeff(self, alpha: mi.MultiIndex) -> "Polynomial":
         """d^alpha(self) / alpha!, exactly."""

@@ -46,6 +46,21 @@ def sympy_det(rows):
                              for m, c in det.as_dict().items()})
 
 
+def is_row_echelon(matrix):
+    """True iff each nonzero row's first nonzero entry lies right of the
+    previous row's, and zero rows come last."""
+    last = -1
+    for row in matrix:
+        pivot = next((j for j, v in enumerate(row) if v != 0), None)
+        if pivot is None:
+            last = len(row)  # all later rows must be zero too
+            continue
+        if pivot <= last:
+            return False
+        last = pivot
+    return True
+
+
 def s_poly(f, g, order):
     """S(f, g) = m_f*f - m_g*g with m_p = (lcm(lt f, lt g) / lt p) / lc p."""
     lt_f, lt_g = f.leading_monomial(order), g.leading_monomial(order)

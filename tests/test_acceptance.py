@@ -32,10 +32,10 @@ from nashblowup.groebner import (
     radical_membership,
 )
 from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert
-from nashblowup.parser import format_polynomial, parse_polynomial
+from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex, lex
 
-from conftest import s_poly
+from conftest import P, is_row_echelon, s_poly
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -43,10 +43,6 @@ RING3 = ("x", "y", "z")
 CUSP = "x^3 - y^2"
 NODE = "x^3 + x^2 - y^2"
 SURF = "x*y - z^4"
-
-
-def P(text, ring):
-    return parse_polynomial(text, ring)
 
 
 @contextmanager
@@ -273,19 +269,6 @@ def node_points():
         x = w ** 2 - 1
         pts.append((x, w * x))
     return pts
-
-
-def is_row_echelon(matrix):
-    last = -1
-    for row in matrix:
-        pivot = next((j for j, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            last = len(row)
-            continue
-        if pivot <= last:
-            return False
-        last = pivot
-    return True
 
 
 def test_criterion_8_criterion_equivalence():

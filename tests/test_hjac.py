@@ -25,7 +25,7 @@ from nashblowup.hjac import (
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P, as_sympy, sympy_det
+from conftest import P, as_sympy, is_row_echelon, sympy_det
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -122,6 +122,24 @@ def test_entry_law_full():
                     else:
                         expected = Polynomial.zero(ring)
                     assert jac.entry(beta, alpha) == expected
+
+
+@pytest.mark.parametrize("text,ring,n", [(CUSP, RING2, 2), (SURF, RING3, 3), ("x^3", ("x",), 1)])
+def test_build_shares_one_polynomial_per_difference(text, ring, n):
+    # evaluate_at and maximal_minors work once per distinct id() of an entry
+    F = P(text, ring)
+    jac = build(F, n)
+    by_difference = {}
+    for beta, row in zip(jac.row_labels, jac.entries):
+        for alpha, e in zip(jac.col_labels, row):
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            if min(gamma) < 0:
+                assert e.is_zero()
+            else:
+                assert by_difference.setdefault(gamma, e) is e
+    distinct_nonzero = {id(e) for row in jac.entries for e in row if not e.is_zero()}
+    used_nonzero = [gamma for gamma in by_difference if not F.taylor_coeff(gamma).is_zero()]
+    assert len(distinct_nonzero) == len(used_nonzero)
 
 
 def test_diagonal_law():
@@ -238,19 +256,6 @@ def test_kernel_dimension_at_nonsingular_samples():
                     continue
                 M, C = shape(s, n)
                 assert len(tangent_space(F, n, p)) == C - M
-
-
-def is_row_echelon(matrix):
-    last = -1
-    for row in matrix:
-        pivot = next((j for j, v in enumerate(row) if v != 0), None)
-        if pivot is None:
-            last = len(row)  # all later rows must be zero too
-            continue
-        if pivot <= last:
-            return False
-        last = pivot
-    return True
 
 
 def test_echelon_property():

@@ -247,5 +247,13 @@ def test_describe_planes_unsupported_pattern():
     assert planes is None
 
 
+def test_describe_planes_affine_linear_generator():
+    # a linear generator with a constant term (here directly, and as the
+    # quotient u_2 + 1 of u_1*u_2 + u_1) has an affine zero set
+    ring = ("u_1", "u_2")
+    assert uplane(["u_1 + 1"], ring) is None
+    assert uplane(["u_1*u_2 + u_1"], ring) is None
+
+
 def test_describe_planes_empty_input():
     assert describe_planes([]) is None

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from nashblowup.polynomial import (
     lex,
 )
 
-from conftest import P
+from conftest import P, as_sympy
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -76,6 +77,32 @@ def test_evaluate_is_ring_hom(f, g):
     p = (Fraction(1, 2), Fraction(-3))
     assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
+
+
+def assert_well_formed(f):
+    for mono, c in f.terms.items():
+        assert type(mono) is tuple and len(mono) == len(f.ring)
+        assert type(c) is Fraction and c != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(RING3),
+       st.dictionaries(st.tuples(*([st.integers(0, 2)] * 3)), st.integers(-3, 3), max_size=5),
+       st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 3)))
+def test_arithmetic_matches_sympy(f, raw, alpha):
+    # g is built from int coefficients, zeros among them, and its terms
+    # cancel every term of f on a monomial with an even x exponent
+    terms = {**raw, **{m: -c for m, c in f.terms.items() if m[0] % 2 == 0}}
+    g = Polynomial(RING3, terms)
+    x = sympy.symbols(RING3)
+    sf, sg = as_sympy(f, x), as_sympy(g, x)
+    assert_well_formed(g)
+    assert sympy.expand(sg - sympy.Add(*[sympy.Rational(c) * sympy.Mul(*map(sympy.Pow, x, m))
+                                         for m, c in terms.items()])) == 0
+    for ours, theirs in ((f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg),
+                         (f.derivative(alpha), sympy.diff(sf, *zip(x, alpha)))):
+        assert_well_formed(ours)
+        assert sympy.expand(as_sympy(ours, x) - theirs) == 0
 
 
 # -- derivatives -----------------------------------------------------------
