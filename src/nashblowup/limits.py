@@ -4,8 +4,13 @@ The pipeline: build the ideal A = <F, u_J - t*Delta_J> in the ring
 (t, x, u), eliminate t, intersect with Q[x, u], set x = 0, and read the
 resulting ideal in the u variables.  Its zero set consists of the limits of
 the row spaces of the order-n Jacobian along non-singular points approaching
-the center, in their Plucker coordinates u_J; `describe_planes` reports that
-zero set as a union of linear subspaces of u-space when it can.
+the center, in their Plucker coordinates u_J.
+
+`describe_planes` reports that zero set as a union of linear subspaces of
+u-space when it can.  It runs a depth-first worklist over branches, each a
+list of generators and the linear rows chosen so far: linear generators and
+pure powers become rows, and one rule, `_factors`, splits the first
+remaining generator into polynomials whose zero sets cover its own.
 `containment_oracle` is a one-sided sanity check on the result: no
 generator may have a constant term.
 """
@@ -116,29 +121,51 @@ def containment_oracle(result: LimitIdealResult) -> bool:
 
 # -- zero-set reporting --------------------------------------------------------
 
+MAX_DEPTH = 64  # branchings along one path before `describe_planes` gives up
 
-def _rational_sqrt(c: Fraction) -> Fraction | None:
-    if c < 0:
+
+def _factors(g: Polynomial) -> list[Polynomial] | None:
+    """Polynomials whose zero sets cover V(g), in branching order, or None
+    when g fits none of the patterns: g itself if linear, the variables of a
+    monomial, the shared variables and then the quotient of a binomial with a
+    common monomial factor, and the lines u_i +- r*u_j of c1*u_i^2 + c2*u_j^2
+    with r^2 = -c2/c1 rational."""
+    def var(i):
+        return Polynomial.variable(g.ring, g.ring[i])
+
+    if g.total_degree() == 1:
+        return [g]
+    if len(g.terms) == 1:
+        (mono,) = g.terms
+        return [var(i) for i, e in enumerate(mono) if e]
+    if len(g.terms) != 2:
         return None
-    num = math.isqrt(c.numerator)
-    den = math.isqrt(c.denominator)
-    if num * num == c.numerator and den * den == c.denominator:
-        return Fraction(num, den)
+    (m1, c1), (m2, c2) = g.terms.items()
+    common = tuple(map(min, m1, m2))
+    if any(common):
+        quotient = Polynomial(g.ring, {
+            tuple(a - c for a, c in zip(m1, common)): c1,
+            tuple(a - c for a, c in zip(m2, common)): c2,
+        })
+        return [var(i) for i, e in enumerate(common) if e] + [quotient]
+    square = -c2 / c1
+    if sum(m1) == sum(m2) == 2 and 2 in m1 and 2 in m2 and square > 0:
+        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        if root * root == square:
+            i, j = m1.index(2), m2.index(2)
+            return [var(i) + var(j).scalar_mul(sgn * root) for sgn in (1, -1)]
     return None
 
 
-def _row(n: int, entries: dict[int, Fraction | int]) -> list[Fraction]:
-    """A row of n coefficients, zero outside {position: value} `entries`."""
-    row = [Fraction(0)] * n
-    for i, c in entries.items():
-        row[i] = Fraction(c)
-    return row
-
-
-def _linear_row(g: Polynomial) -> list[Fraction]:
+def _linear_row(g: Polynomial) -> list[Fraction] | None:
+    """The coefficients of a linear form, or None when g has a constant term
+    (its zero set is affine, not a linear subspace)."""
     if g.constant_term():
-        raise _Unsupported  # the zero set is affine, not a linear subspace
-    return _row(g.num_vars, {mono.index(1): c for mono, c in g.terms.items()})
+        return None
+    row = [Fraction(0)] * g.num_vars
+    for mono, c in g.terms.items():
+        row[mono.index(1)] = c
+    return row
 
 
 def _substitution_from_rows(ring, rows):
@@ -154,113 +181,55 @@ def _substitution_from_rows(ring, rows):
     return subs
 
 
-def _solve_branches(ring, gens, rows, out, seen, depth=0):
-    if depth > 64:
-        raise RecursionError("plane description branched too deeply")
-    while True:
-        subs = _substitution_from_rows(ring, rows)
-        current = []
-        for g in gens:
-            h = g.substitute(subs) if subs else g
-            if h.is_zero():
-                continue
-            if h.is_constant():
-                return  # inconsistent branch
-            current.append(h)
-        # linear generators become rows immediately
-        linear = [g for g in current if g.total_degree() == 1]
-        if linear:
-            rows = rows + [_linear_row(g) for g in linear]
-            gens = [g for g in current if g.total_degree() != 1]
-            continue
-        gens = current
-        # pure powers of a single variable force that variable to zero
-        forced = None
-        for g in gens:
-            if len(g.terms) == 1:
-                mono = next(iter(g.terms))
-                support = [i for i, e in enumerate(mono) if e]
-                if len(support) == 1:
-                    forced = support[0]
-                    break
-        if forced is not None:
-            rows = rows + [_row(len(ring), {forced: 1})]
-            continue
-        break
-
-    if not gens:
-        basis = linalg.kernel_basis(rows, width=len(ring))
-        canonical = tuple(tuple(v) for v in linalg.rref(basis)[0])
-        if canonical not in seen:
-            seen.add(canonical)
-            out.append([list(v) for v in canonical])
-        return
-
-    g = gens[0]
-    rest = gens[1:]
-    if len(g.terms) == 1:
-        # a product of variables vanishes: branch on each factor
-        mono = next(iter(g.terms))
-        for i, e in enumerate(mono):
-            if e:
-                _solve_branches(ring, rest, rows + [_row(len(ring), {i: 1})],
-                                out, seen, depth + 1)
-        return
-    if len(g.terms) == 2:
-        (m1, c1), (m2, c2) = g.terms.items()
-        common = tuple(min(a, b) for a, b in zip(m1, m2))
-        if any(common):
-            # pull out the shared monomial factor and branch
-            for i, e in enumerate(common):
-                if e:
-                    _solve_branches(ring, rest, rows + [_row(len(ring), {i: 1})],
-                                    out, seen, depth + 1)
-            quotient = Polynomial(g.ring, {
-                tuple(a - c for a, c in zip(m1, common)): c1,
-                tuple(a - c for a, c in zip(m2, common)): c2,
-            })
-            _solve_branches(ring, [quotient] + rest, rows, out, seen, depth + 1)
-            return
-        s1 = [i for i, e in enumerate(m1) if e]
-        s2 = [i for i, e in enumerate(m2) if e]
-        if len(s1) == 1 and len(s2) == 1 and m1[s1[0]] == 2 and m2[s2[0]] == 2:
-            # c1*u_i^2 + c2*u_j^2: split when -c2/c1 is a rational square
-            root = _rational_sqrt(-c2 / c1)
-            if root is not None:
-                for sgn in (1, -1):
-                    row = _row(len(ring), {s1[0]: 1, s2[0]: sgn * root})
-                    _solve_branches(ring, rest, rows + [row], out, seen, depth + 1)
-                return
-    raise _Unsupported
-
-
-class _Unsupported(Exception):
-    pass
-
-
 def describe_planes(generators):
     """Describe the zero set of an ideal in the u variables as a union of
-    linear subspaces, when the generators fit the monomial / binomial /
-    binomial-quadric patterns.  Returns a tuple of subspace bases (maximal
-    under inclusion), or None when the patterns do not apply."""
+    linear subspaces, when the generators fit the patterns of `_factors`.
+    Returns a tuple of subspace bases (maximal under inclusion), or None
+    when the patterns do not apply or a path branches more than MAX_DEPTH
+    times.
+
+    A depth-first worklist of (generators, rows, depth): each step restricts
+    the generators to the subspace cut out by the rows and drops the branch
+    if one becomes a nonzero constant.  The linear generators, or if there
+    are none the pure powers, become rows in one batch.  When no generator is
+    left the subspace is recorded; otherwise the branch splits over the
+    factors of the first generator, a linear factor going onto the rows."""
     if not generators:
         return None
     ring = generators[0].ring
-    out: list = []
-    seen: set = set()
-    try:
-        _solve_branches(ring, list(generators), [], out, seen)
-    except (_Unsupported, RecursionError):
-        return None
-    # keep only subspaces maximal under inclusion (equal ones were deduped)
-    def contains(big, small):
-        return linalg.rank(big) == linalg.rank(big + small)
+    found: dict = {}  # canonical basis -> None, in discovery order
+    work = [(list(generators), [], 0)]
+    while work:
+        gens, rows, depth = work.pop()
+        if depth > MAX_DEPTH:
+            return None
+        subs = _substitution_from_rows(ring, rows)
+        gens = [h for h in (g.substitute(subs) if subs else g for g in gens) if not h.is_zero()]
+        if any(h.is_constant() for h in gens):
+            continue  # empty on this branch
+        factors = [_factors(g) for g in gens]
+        single = [g for g in gens if g.total_degree() == 1] or [
+            f[0] for f in factors if f is not None and len(f) == 1]
+        if single:
+            new = [_linear_row(f) for f in single]
+            if None in new:
+                return None
+            work.append((gens, rows + new, depth))  # the batch then restricts to 0
+        elif not gens:
+            basis = linalg.kernel_basis(rows, width=len(ring))
+            found[tuple(tuple(v) for v in linalg.rref(basis)[0])] = None
+        elif factors[0] is None:
+            return None
+        else:
+            for f in reversed(factors[0]):
+                if f.total_degree() > 1:
+                    work.append(([f] + gens[1:], rows, depth + 1))
+                elif (row := _linear_row(f)) is None:
+                    return None
+                else:
+                    work.append((gens[1:], rows + [row], depth + 1))
 
-    result = []
-    for i, p in enumerate(out):
-        strictly_inside = any(
-            j != i and contains(q, p) and not contains(p, q) for j, q in enumerate(out)
-        )
-        if not strictly_inside:
-            result.append(tuple(tuple(v) for v in p))
-    return tuple(result)
+    # keep the subspaces maximal under inclusion; a key is a canonical
+    # basis, so two different keys span different subspaces
+    return tuple(p for p in found if not any(
+        q != p and linalg.rank(q) == linalg.rank(q + p) for q in found))

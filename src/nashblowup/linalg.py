@@ -37,6 +37,8 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
         for i, row in enumerate(work):
             if i != r:
                 f = row[col]
+                if f == 0 and p == prev:
+                    continue  # (p * row - 0 * top) // prev is the row itself
                 if prev == 1:
                     row[:] = [p * a - f * b for a, b in zip(row, top)]
                 else:

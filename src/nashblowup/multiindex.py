@@ -36,13 +36,6 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-def sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
-    """alpha - beta; requires beta <= alpha."""
-    if not leq(beta, alpha):
-        raise ValueError(f"{beta} is not componentwise <= {alpha}")
-    return tuple(a - b for a, b in zip(alpha, beta))
-
-
 def factorial(alpha: MultiIndex) -> int:
     """alpha! = alpha_1! * ... * alpha_s!."""
     result = 1

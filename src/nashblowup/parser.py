@@ -39,7 +39,6 @@ _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^]))")
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
         self._tokenize()
         self.i = 0

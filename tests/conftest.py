@@ -46,6 +46,11 @@ def sympy_det(rows):
                              for m, c in det.as_dict().items()})
 
 
+def sub(alpha, beta):
+    """The multi-index alpha - beta, for beta <= alpha componentwise."""
+    return tuple(a - b for a, b in zip(alpha, beta))
+
+
 def is_row_echelon(matrix):
     """True iff each nonzero row's first nonzero entry lies right of the
     previous row's, and zero rows come last."""

@@ -212,6 +212,16 @@ def test_criterion_5_surface_oracle():
                       file=sys.__stdout__, flush=True)
 
 
+def test_surface_reference_planes():
+    # describe_planes in all 126 u's: the three coordinate 2-planes of
+    # criterion 5, in branching order
+    u_ring = tuple(f"u_{k}" for k in range(1, 127))
+    planes = limits.describe_planes(surface_reference_basis(u_ring))
+    assert planes == tuple(
+        tuple(tuple(Fraction(k == i) for k in range(126)) for i in support)
+        for support in ((111, 112), (82, 112), (37, 111)))
+
+
 # -- 6: the nash-ideal family ----------------------------------------------
 
 

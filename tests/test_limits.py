@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashblowup import limits
 from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal, normal_form
 from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
 from nashblowup.limits import containment_oracle, describe_planes, limit_ideal, translate_to_origin
@@ -257,3 +258,72 @@ def test_describe_planes_affine_linear_generator():
 
 def test_describe_planes_empty_input():
     assert describe_planes([]) is None
+
+
+def test_describe_planes_pure_powers_in_one_batch():
+    # u_1 = u_2 = 0 together leave the linear form -u_3 - u_4, whatever the
+    # order of the two squares; set one at a time, u_2 - u_3 - u_4 would pin
+    # u_2 first and turn u_2^2 into an unsplittable trinomial
+    ring = ("u_1", "u_2", "u_3", "u_4", "u_5")
+    plane = ((0, 0, 1, -1, 0), (0, 0, 0, 0, 1))
+    for squares in (["u_1^2", "u_2^2"], ["u_2^2", "u_1^2"]):
+        assert uplane(squares + ["u_2 - u_3 - u_4 + u_1*u_5"], ring) == (plane,)
+
+
+def test_describe_planes_depth_cap(monkeypatch):
+    ring = ("u_1", "u_2", "u_3", "u_4")
+    planes = uplane(["u_1*u_2", "u_3*u_4"], ring)
+    assert [[tuple(i for i, c in enumerate(v) if c) for v in p] for p in planes] == [
+        [(1,), (3,)], [(1,), (2,)], [(0,), (3,)], [(0,), (2,)]]
+    monkeypatch.setattr(limits, "MAX_DEPTH", 1)  # the second split goes to depth 2
+    assert uplane(["u_1*u_2", "u_3*u_4"], ring) is None
+
+
+U4 = ("u_1", "u_2", "u_3", "u_4")
+_unit = st.integers(-3, 3).filter(bool)
+_exponents = st.tuples(*[st.integers(0, 2)] * len(U4))
+
+
+@st.composite
+def _supported_generator(draw):
+    """One generator of a pattern `describe_planes` splits: a linear form, a
+    monomial, a binomial with a common monomial factor, or a quadric
+    c*(a^2*u_i^2 - b^2*u_j^2) with rational roots."""
+    kind = draw(st.sampled_from(["linear", "monomial", "binomial", "quadric"]))
+    if kind == "linear":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any))
+        return Polynomial(U4, {tuple(int(j == i) for j in range(4)): c
+                               for i, c in enumerate(coeffs) if c})
+    if kind == "monomial":
+        return Polynomial(U4, {draw(_exponents.filter(any)): draw(_unit)})
+    if kind == "binomial":  # common * (c1*u_i + c2*u_j)
+        common = draw(_exponents.filter(any))
+        i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        return Polynomial(U4, {tuple(e + (k == i) for k, e in enumerate(common)): draw(_unit),
+                               tuple(e + (k == j) for k, e in enumerate(common)): draw(_unit)})
+    i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    a, b, c = draw(_unit), draw(_unit), draw(_unit)
+    return Polynomial(U4, {tuple(2 * (k == i) for k in range(4)): c * a * a,
+                           tuple(2 * (k == j) for k in range(4)): -c * b * b})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_supported_generator(), min_size=1, max_size=4))
+def test_describe_planes_lie_in_the_zero_set(gens):
+    planes = describe_planes(gens)
+    if planes is None:
+        return
+    t = sympy.symbols("t0:4")
+
+    def rank(vectors):
+        return sympy.Matrix(len(vectors), 4, [sympy.Rational(c) for v in vectors for c in v]).rank()
+
+    for plane in planes:
+        # each generator vanishes identically on the plane's parametrization
+        point = [sum((sympy.Rational(v[k]) * t[m] for m, v in enumerate(plane)), sympy.Integer(0))
+                 for k in range(4)]
+        for g in gens:
+            assert sympy.expand(as_sympy(g, point)) == 0
+        for other in planes:
+            if other != plane:
+                assert rank(other + plane) > rank(other)  # plane is not inside other
