@@ -4,6 +4,13 @@ The engine works internally with primitive integer-coefficient polynomials
 and pseudo-reduction, which keeps coefficient growth in check; public results
 are monic polynomials over Q.  Pair selection follows the normal strategy
 (smallest lcm first) with Buchberger's coprimality and chain criteria.
+
+The inner loop runs in C builtins where it can: monomials are exponent
+tuples combined by `map` over `operator` functions, and each call keys the
+monomial order through a dict that computes every monomial's key once.
+`buchberger` keeps one generator per class of nonzero scalar multiples, so a
+duplicate up to a scalar costs no reduction; a generator already in the
+ideal costs one.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import add, le, sub
+from typing import Callable, Iterable, Sequence
 
 from .polynomial import (
     MonomialOrder,
@@ -66,6 +74,8 @@ def _content(terms: dict) -> int:
 def _cleared(f: Polynomial) -> tuple[dict, int]:
     """(terms, d): integer terms equal to d * f for the least such d."""
     d = lcm(*(c.denominator for c in f.terms.values()))
+    if d == 1:
+        return {m: c.numerator for m, c in f.terms.items()}, 1
     return {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
 
@@ -84,20 +94,41 @@ def _entry(terms: dict, keyf) -> tuple | None:
     return terms, lt, terms[lt]
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+# Monomial kernels as maps over C builtins.  The divisibility test
+# `all(map(le, a, b))` (a divides b) is written inline where it runs.
 
 
 def _mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+class _KeyCache(dict):
+    """Monomial -> order key, each key computed once on first lookup."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, mono):
+        k = self[mono] = self.key(mono)
+        return k
+
+
+def _keyf(order: MonomialOrder, ring) -> Callable[[tuple], tuple]:
+    """`order.key_func(ring)` behind a fresh cache, for one call of the
+    engine: a bound dict lookup, so that `max(terms, key=keyf)` stays in C
+    once each monomial has been seen."""
+    return _KeyCache(order.key_func(ring)).__getitem__
 
 
 class _Budget:
@@ -127,7 +158,7 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> t
         lt = max(work, key=keyf)
         c = work.pop(lt)
         for g_terms, g_lt, g_lc in basis:
-            if _divides(g_lt, lt):
+            if all(map(le, g_lt, lt)):
                 d = gcd(c, g_lc)
                 a = g_lc // d
                 b = c // d
@@ -141,7 +172,7 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> t
                 for m, v in g_terms.items():
                     if m == g_lt:
                         continue
-                    mm = _mono_mul(m, shift)
+                    mm = tuple(map(add, m, shift))
                     acc = work.get(mm, 0) - b * v
                     if acc:
                         work[mm] = acc
@@ -177,12 +208,14 @@ def buchberger(
 ) -> list[Polynomial]:
     """The unique reduced Groebner basis of the ideal of `generators`.
 
-    The generators enter one at a time, fewest terms first and then lowest
-    total degree first (a stable sort, so ties keep their given order).
-    Each is pseudo-reduced by the basis so far; a nonzero remainder joins
-    the basis, its S-pairs are reduced until none is left, and the basis is
-    interreduced before the next generator, so a generator already in the
-    ideal costs one reduction.
+    Each generator is made primitive with a positive leading coefficient,
+    and only the first of equal ones is kept, so a duplicate up to a nonzero
+    scalar costs no reduction.  The rest enter one at a time, fewest terms
+    first and then lowest total degree first (a stable sort, so ties keep
+    their given order).  Each is pseudo-reduced by the basis so far; a
+    nonzero remainder joins the basis, its S-pairs are reduced until none
+    is left, and the basis is interreduced before the next generator, so a
+    generator already in the ideal costs one reduction.
 
     Raises BudgetExceededError when a configured cap is hit; never returns a
     partial answer.  `max_pairs` counts the S-pairs reduced; `max_reductions`
@@ -198,10 +231,15 @@ def buchberger(
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = generators[0].ring
     generators = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
-    generators.sort(key=lambda t: (len(t), max(map(sum, t))))
     if order is None:
         order = grevlex()
-    keyf = order.key_func(ring)
+    keyf = _keyf(order, ring)
+    # one primitive, sign-normalised entry per class of scalar multiples
+    entries: dict = {}
+    for terms in generators:
+        entry = _entry(terms, keyf)
+        entries.setdefault(frozenset(entry[0].items()), entry)
+    entries = sorted(entries.values(), key=lambda e: (len(e[0]), max(map(sum, e[0]))))
     budget = _Budget(max_reductions)
 
     basis: list[tuple] = []
@@ -211,7 +249,7 @@ def buchberger(
     counter = itertools.count()
     processed = 0
 
-    def add(entry: tuple):
+    def insert(entry: tuple):
         basis.append(entry)
         new = len(basis) - 1
         for k in range(new):
@@ -221,17 +259,18 @@ def buchberger(
             heapq.heappush(heap, (keyf(lcm), next(counter), k, new, lcm))
             pending.add((k, new))
 
-    for terms in generators:
-        entry = _entry(_reduce_int(terms, basis, keyf, budget)[0] if basis else terms, keyf)
+    for entry in entries:
+        if basis:
+            entry = _entry(_reduce_int(entry[0], basis, keyf, budget)[0], keyf)
         if entry is None:
             continue
-        add(entry)
+        insert(entry)
         while heap:
             _, _, i, j, lcm = heapq.heappop(heap)
             pending.discard((i, j))
             # chain criterion: some other lt divides the lcm and both side
             # pairs are already settled
-            if any(k != i and k != j and _divides(basis[k][1], lcm)
+            if any(k != i and k != j and all(map(le, basis[k][1], lcm))
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
                    for k in range(len(basis))):
@@ -243,7 +282,7 @@ def buchberger(
             s = _spoly_int(basis[i], basis[j])
             entry = _entry(_reduce_int(s, basis, keyf, budget)[0], keyf)
             if entry is not None:
-                add(entry)
+                insert(entry)
         # every S-pair of a reduced basis reduces to zero, so the pairs
         # settled so far stay settled for the chain criterion
         basis[:] = _interreduce(basis, keyf)
@@ -258,7 +297,8 @@ def _interreduce(basis: list[tuple], keyf) -> list[tuple]:
     # minimal: drop entries whose lt is divisible by another surviving lt
     kept: list[tuple] = []
     for entry in sorted(basis, key=lambda e: keyf(e[1])):
-        if not any(_divides(e[1], entry[1]) for e in kept):
+        lt = entry[1]
+        if not any(all(map(le, e[1], lt)) for e in kept):
             kept.append(entry)
     # tail-reduce each element against the others
     budget = _Budget(None)
@@ -277,7 +317,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | N
     divisible by any leading term of G, and f - r lies in <G>."""
     if order is None:
         order = grevlex()
-    keyf = order.key_func(f.ring)
+    keyf = _keyf(order, f.ring)
     divisors = [_entry(_cleared(g.to_ring(f.ring))[0], keyf)
                 for g in G if not g.is_zero()]
     terms, denom = _cleared(f)

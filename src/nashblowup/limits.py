@@ -190,8 +190,8 @@ def describe_planes(generators):
 
     A depth-first worklist of (generators, rows, depth): each step restricts
     the generators to the subspace cut out by the rows and drops the branch
-    if one becomes a nonzero constant.  The linear generators, or if there
-    are none the pure powers, become rows in one batch.  When no generator is
+    if one becomes a nonzero constant.  The linear generators and the pure
+    powers become rows in one batch.  When no generator is
     left the subspace is recorded; otherwise the branch splits over the
     factors of the first generator, a linear factor going onto the rows."""
     if not generators:
@@ -208,8 +208,7 @@ def describe_planes(generators):
         if any(h.is_constant() for h in gens):
             continue  # empty on this branch
         factors = [_factors(g) for g in gens]
-        single = [g for g in gens if g.total_degree() == 1] or [
-            f[0] for f in factors if f is not None and len(f) == 1]
+        single = [f[0] for f in factors if f is not None and len(f) == 1]
         if single:
             new = [_linear_row(f) for f in single]
             if None in new:

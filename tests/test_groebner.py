@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from nashblowup.groebner import (
     BudgetExceededError,
     Ideal,
+    _keyf,
+    _mono_lcm,
+    _mono_mul,
+    _mono_sub,
     buchberger,
     eliminate,
     ideal_equal,
@@ -194,6 +198,27 @@ def test_buchberger_ignores_redundant_generators(gens, order, data):
         buchberger(gens, ORDERS[order], RING3)
 
 
+ALL_ORDERS = {**ORDERS, "elimination": elimination_order(("x",))}
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=st.lists(polynomials(RING3, 1), min_size=1, max_size=3).filter(
+           lambda gs: any(not g.is_zero() for g in gs)),
+       order=st.sampled_from(sorted(ALL_ORDERS)),
+       data=st.data())
+def test_buchberger_scalar_duplicates_are_exact(gens, order, data):
+    # nonzero rational multiples of some generators, of either sign, between
+    # two copies of the list: the engine keeps one generator per scalar class
+    chosen = data.draw(st.lists(st.sampled_from(gens), max_size=4))
+    scales = data.draw(st.lists(rationals().filter(bool), min_size=len(chosen),
+                                max_size=len(chosen)))
+    padded = gens + [g.scalar_mul(c) for g, c in zip(chosen, scales)] + gens
+    basis = buchberger(padded, ALL_ORDERS[order], RING3)
+    assert basis == buchberger(gens, ALL_ORDERS[order], RING3)
+    # and no generator was dropped that the basis does not generate
+    assert all(normal_form(g, basis, ALL_ORDERS[order]).is_zero() for g in gens)
+
+
 def test_buchberger_edge_cases():
     assert buchberger([], grevlex(), RING2) == []
     assert buchberger([Polynomial.zero(RING2)], grevlex(), RING2) == []
@@ -243,6 +268,25 @@ def test_budget_exceeded():
         buchberger(gens, grevlex(), RING2, max_reductions=1)
     assert buchberger(gens, grevlex(), RING2, max_reductions=2) == \
         [P("x", RING2), P("y^2", RING2)]
+
+
+def test_duplicate_generators_cost_no_reduction():
+    # a copy of a generator up to a scalar is dropped before any reduction,
+    # so the list three times over fits the budget of the list once
+    gens = [P("x^2 - y", RING3), P("x*y - z", RING3), P("y^2 - x*z", RING3)]
+    for order in ALL_ORDERS.values():
+        need = next(r for r in itertools.count() if _fits(gens, order, r))
+        assert _fits(gens * 3, order, need)
+        assert _fits(gens + [g.scalar_mul(Fraction(-2, 3)) for g in gens], order, need)
+        assert not _fits(gens * 3, order, need - 1)
+
+
+def _fits(gens, order, max_reductions):
+    try:
+        buchberger(gens, order, RING3, max_reductions=max_reductions)
+    except BudgetExceededError:
+        return False
+    return True
 
 
 def test_negative_budget_is_an_input_error():
@@ -389,3 +433,34 @@ def test_coefficient_arithmetic_stays_exact():
             assert isinstance(c, Fraction) or c == int(c)
     assert normal_form(f, basis, lex()).is_zero()
     assert normal_form(g, basis, lex()).is_zero()
+
+
+# -- monomial kernels and order keys ----------------------------------------
+
+
+def test_monomial_kernels_match_their_definitions():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = tuple(rng.randint(0, 5) for _ in range(n))
+        b = tuple(rng.randint(0, 5) for _ in range(n))
+        assert _mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+        assert _mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
+        assert _mono_sub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert _mono_lcm((), ()) == _mono_mul((), ()) == _mono_sub((), ()) == ()
+
+
+def test_cached_order_key_orders_like_key_func():
+    rng = random.Random(15)
+    ring = ("t", "x", "y", "z")
+    for order in ALL_ORDERS.values():
+        key = order.key_func(ring)
+        keyf = _keyf(order, ring)
+        for _ in range(40):
+            monos = [tuple(rng.randint(0, 3) for _ in ring)
+                     for _ in range(rng.randint(1, 12))]
+            # the second pass reads every key from the cache
+            for _ in range(2):
+                assert max(monos, key=keyf) == max(monos, key=key)
+                assert sorted(monos, key=keyf) == sorted(monos, key=key)
+                assert [keyf(m) for m in monos] == [key(m) for m in monos]

@@ -270,6 +270,14 @@ def test_describe_planes_pure_powers_in_one_batch():
         assert uplane(squares + ["u_2 - u_3 - u_4 + u_1*u_5"], ring) == (plane,)
 
 
+def test_describe_planes_linear_forms_and_pure_powers_in_one_batch():
+    # u_1 = 0 and u_1 + u_2 - u_3 = 0 together; substituting the linear form
+    # first would turn u_1^2 into the unsplittable trinomial (u_3 - u_2)^2
+    ring = ("u_1", "u_2", "u_3")
+    for gens in (["u_1^2", "u_1 + u_2 - u_3"], ["u_1 + u_2 - u_3", "u_1^2"]):
+        assert uplane(gens, ring) == (((0, 1, 1),),)
+
+
 def test_describe_planes_depth_cap(monkeypatch):
     ring = ("u_1", "u_2", "u_3", "u_4")
     planes = uplane(["u_1*u_2", "u_3*u_4"], ring)
