@@ -235,11 +235,11 @@ def buchberger(
         order = grevlex()
     keyf = _keyf(order, ring)
     # one primitive, sign-normalised entry per class of scalar multiples
-    entries: dict = {}
+    classes: dict = {}
     for terms in generators:
         entry = _entry(terms, keyf)
-        entries.setdefault(frozenset(entry[0].items()), entry)
-    entries = sorted(entries.values(), key=lambda e: (len(e[0]), max(map(sum, e[0]))))
+        classes.setdefault(frozenset(entry[0].items()), entry)
+    entries = sorted(classes.values(), key=lambda e: (len(e[0]), max(map(sum, e[0]))))
     budget = _Budget(max_reductions)
 
     basis: list[tuple] = []

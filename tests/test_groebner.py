@@ -270,6 +270,14 @@ def test_budget_exceeded():
         [P("x", RING2), P("y^2", RING2)]
 
 
+def _fits(gens, order, max_reductions):
+    try:
+        buchberger(gens, order, RING3, max_reductions=max_reductions)
+    except BudgetExceededError:
+        return False
+    return True
+
+
 def test_duplicate_generators_cost_no_reduction():
     # a copy of a generator up to a scalar is dropped before any reduction,
     # so the list three times over fits the budget of the list once
@@ -279,14 +287,6 @@ def test_duplicate_generators_cost_no_reduction():
         assert _fits(gens * 3, order, need)
         assert _fits(gens + [g.scalar_mul(Fraction(-2, 3)) for g in gens], order, need)
         assert not _fits(gens * 3, order, need - 1)
-
-
-def _fits(gens, order, max_reductions):
-    try:
-        buchberger(gens, order, RING3, max_reductions=max_reductions)
-    except BudgetExceededError:
-        return False
-    return True
 
 
 def test_negative_budget_is_an_input_error():
