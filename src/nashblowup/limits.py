@@ -22,8 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .groebner import BudgetExceededError, Ideal, buchberger, eliminate
-from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
+from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
+from .hjac import (
+    PointNotOnHypersurfaceError,
+    SingularPointError,
+    _check_input,
+    _nash_basis,
+    maximal_minors,
+)
 from .polynomial import Polynomial, _fresh, grevlex, make_point
 
 
@@ -62,10 +68,25 @@ def limit_ideal(
 ) -> LimitIdealResult:
     """The limit-space ideal in the u variables, as a reduced basis.
 
-    With F and the maximal minors Delta_J translated to the center, this
-    builds A = <F, u_J - t*Delta_J> in the ring (t, x, u), eliminates t
-    under (t) >> grevlex(x, u) by `groebner.eliminate`, sets x = 0 and
-    reduces what is left."""
+    With F and the maximal minors Delta_J translated to the center, the
+    paper's route eliminates t from A = <F, u_J - t*Delta_J> in (t, x, u)
+    and sets x = 0.  This runs it over the mu free u's only:
+
+    1. `_degree_one` splits the u's into the free ones, whose minors are a
+       basis of I/(m*I + (F)), and linear generators u_J - sum c_Jf*u_f
+       for the others, with every u_f free and after u_J.
+    2. t is eliminated from <F, u_f - t*Delta_f> over the free u's by
+       `groebner.eliminate` under (t) >> grevlex(x, u), the one step the
+       budgets cap; x is set to 0 and the result reduced in the free u's.
+    3. The linear generators and that basis, sorted by leading monomial,
+       are the reduced grevlex basis in all u's: the leading terms u_J of
+       the linear generators are not free u's, and their tails hold only
+       free ones, of degree 1, which lead no element of the basis.
+
+    Steps 1 and 2 give the whole limit ideal by Nakayama: m annihilates
+    I^d/m*I^d, so the fiber ring (the direct sum over d of I^d/m*I^d) is
+    the same for I and for the ideal of the free minors, which agrees with
+    I near the center; and each u_J maps into it as sum c_Jf*u_f."""
     _check_input(F, n)  # input errors before the center's precondition
     center = make_point(center)
     if F.evaluate(center) != 0:
@@ -75,13 +96,15 @@ def limit_ideal(
     # the center is singular iff every maximal minor vanishes there
     if any(delta.constant_term() for _, delta in minors):
         raise SingularPointError("limits of higher tangent spaces are computed at singular centers")
-    tname = _fresh("t", F.ring)
     unames = tuple(_fresh(f"u_{k}", F.ring) for k in range(1, len(minors) + 1))
-    ring_a = (tname,) + F.ring + unames
+    free, linear = _degree_one(shifted, [delta for _, delta in minors], unames)
+    free_names = tuple(unames[k] for k in free)
+    tname = _fresh("t", F.ring)
+    ring_a = (tname,) + F.ring + free_names
     t = Polynomial.variable(ring_a, tname)
     gens = [shifted.to_ring(ring_a)]
-    for (_, delta), uname in zip(minors, unames):
-        gens.append(Polynomial.variable(ring_a, uname) - t * delta.to_ring(ring_a))
+    for k in free:
+        gens.append(Polynomial.variable(ring_a, unames[k]) - t * minors[k][1].to_ring(ring_a))
     try:
         xu = eliminate(Ideal(ring_a, gens), (tname,),
                        max_pairs=max_pairs, max_reductions=max_reductions)
@@ -94,18 +117,55 @@ def limit_ideal(
     for g in xu.generators:
         h = g.substitute(zero_x)
         if not h.is_zero():
-            projected.append(h.to_ring(unames))
-    reduced = buchberger(projected, grevlex(), unames) if projected else []
-    planes = describe_planes(reduced)
+            projected.append(h.to_ring(free_names))
+    order = grevlex()
+    reduced = buchberger(projected, order, free_names) if projected else []
+    key = order.key_func(unames)
+    generators = sorted(linear + [g.to_ring(unames) for g in reduced],
+                        key=lambda g: key(g.leading_monomial(order)))
     return LimitIdealResult(
         F=F,
         n=n,
         center=center,
         minors=minors,
         u_ring=unames,
-        generators=tuple(reduced),
-        planes=planes,
+        generators=tuple(generators),
+        planes=describe_planes(generators),
     )
+
+
+def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
+    """(free, linear): the positions of the free minors, ascending, and the
+    monic linear generators of the limit ideal, one per other position.
+
+    The normal forms of the Delta_J modulo G, the grevlex basis of F and
+    every x_i*b for b in the reduced Nash basis B, are the classes of the
+    Delta_J in I/(m*I + (F)), since B and F generate I + (F).  One rref of
+    their coordinates, the columns in reverse u order, picks as pivots the
+    free minors latest in that order, so each other column J is a
+    combination of free columns after it: u_J - sum c_Jf*u_f, with leading
+    term u_J in grevlex.  The rref holds one row per monomial of the normal
+    forms, so its size is about mu*lambda; the lambda x lambda relation
+    kernel is never formed."""
+    order = grevlex()
+    ring = shifted.ring
+    G = buchberger([shifted] + [x * b for b in _nash_basis(shifted, deltas)
+                                for x in Polynomial.variables(ring)], order, ring)
+    forms = [normal_form(delta, G, order) for delta in reversed(deltas)]
+    monomials = sorted({m for f in forms for m in f.terms})
+    R, pivots = linalg.rref([[f.terms.get(m, 0) for f in forms] for m in monomials])
+    width = len(deltas)
+    last = width - 1  # column c holds u_(last - c)
+
+    def unit(k):
+        return tuple(int(i == k) for i in range(width))
+
+    linear = []
+    for c in sorted(set(range(width)) - set(pivots)):
+        terms = {unit(last - c): 1}
+        terms.update((unit(last - p), -R[r][c]) for r, p in enumerate(pivots) if R[r][c])
+        linear.append(Polynomial(unames, terms))
+    return sorted(last - p for p in pivots), linear
 
 
 def containment_oracle(result: LimitIdealResult) -> bool:
