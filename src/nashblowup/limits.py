@@ -1,10 +1,19 @@
 """Limits of higher tangent spaces at a singular point of a hypersurface.
 
-The pipeline: build the ideal A = <F, u_J - t*Delta_J> in the ring
+The paper's pipeline: build the ideal A = <F, u_J - t*Delta_J> in the ring
 (t, x, u), eliminate t, intersect with Q[x, u], set x = 0, and read the
 resulting ideal in the u variables.  Its zero set consists of the limits of
 the row spaces of the order-n Jacobian along non-singular points approaching
 the center, in their Plucker coordinates u_J.
+
+That ideal is the kernel of Q[u] -> (direct sum over d of I^d/m*I^d), I the
+ideal of the minors modulo F and m the maximal ideal of the center.  m
+annihilates each I^d/m*I^d, so by Nakayama the mu minors whose classes are a
+basis of I/(m*I + (F)) give the same fiber ring, and every other u_J maps
+into it as a linear form in theirs.  `limit_ideal` therefore reads those
+linear forms off one rref of normal forms (`_degree_one`) and eliminates t
+over the mu free u's only: at n=2, 9 of the 126 for xy - z^4 and 2 of the 10
+for the cusp and the node.
 
 `describe_planes` reports that zero set as a union of linear subspaces of
 u-space when it can.  It runs a depth-first worklist over branches, each a

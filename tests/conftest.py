@@ -8,9 +8,11 @@ import sympy
 from hypothesis import settings
 from sympy.polys.matrices import DomainMatrix
 
-from nashblowup.limits import limit_ideal
+from nashblowup.groebner import Ideal, buchberger, eliminate
+from nashblowup.hjac import maximal_minors
+from nashblowup.limits import describe_planes, limit_ideal, translate_to_origin
 from nashblowup.parser import parse_polynomial
-from nashblowup.polynomial import Polynomial
+from nashblowup.polynomial import Polynomial, _fresh, grevlex
 
 # the same examples on every run, so that a failure repeats and the suite's
 # time does not change with the draw; @settings on a test keeps this
@@ -75,8 +77,31 @@ def s_poly(f, g, order):
     return m_f * f - m_g * g
 
 
-# limit ideals at the origin at n=2, computed once per session: the node
-# takes seconds, and test_limits and test_acceptance both check it
+def graph_ideal_limit(F, n, center):
+    """(generators, planes) of the limit ideal by the paper's elimination
+    over all lambda minors: t eliminated from <F, u_J - t*Delta_J> in the
+    ring (t, x, u_1..u_lambda), x set to 0 and the rest reduced in grevlex
+    over the u's.  The reference for `limit_ideal`, which eliminates over
+    the free u's only."""
+    shifted = translate_to_origin(F, center)
+    minors = maximal_minors(shifted, n)
+    tname = _fresh("t", F.ring)
+    unames = tuple(_fresh(f"u_{k}", F.ring) for k in range(1, len(minors) + 1))
+    ring_a = (tname,) + F.ring + unames
+    t = Polynomial.variable(ring_a, tname)
+    gens = [shifted.to_ring(ring_a)] + [
+        Polynomial.variable(ring_a, u) - t * delta.to_ring(ring_a)
+        for (_, delta), u in zip(minors, unames)]
+    xu = eliminate(Ideal(ring_a, gens), (tname,))
+    zero_x = {v: 0 for v in F.ring}
+    projected = [h.to_ring(unames) for h in (g.substitute(zero_x) for g in xu.generators)
+                 if not h.is_zero()]
+    reduced = tuple(buchberger(projected, grevlex(), unames)) if projected else ()
+    return reduced, describe_planes(reduced)
+
+
+# limit ideals at the origin at n=2, computed once per session for
+# test_limits and test_acceptance
 @pytest.fixture(scope="session")
 def cusp_result():
     return limit_ideal(P("x^3 - y^2", ("x", "y")), 2, (0, 0))

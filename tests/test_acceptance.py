@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import pytest
 
-from nashblowup import hjac, limits
+from nashblowup import hjac, limits, linalg
 from nashblowup.groebner import (
-    BudgetExceededError,
     Ideal,
     buchberger,
     eliminate,
@@ -151,12 +150,19 @@ def test_criterion_4_node_limit_ideal(node_result):
 # -- 5: the surface fixture --------------------------------------------------
 
 
+SURFACE_LINEAR = (list(range(1, 38)) + list(range(39, 83)) + list(range(84, 112))
+                  + list(range(117, 122)) + [123, 125, 126])
+
+
 def surface_reference_basis(ring):
-    """The reference 148-element basis for xy - z^4, order 2, at the origin."""
-    linear = (list(range(1, 38)) + list(range(39, 83)) + list(range(84, 112))
-              + list(range(117, 122)) + [123, 125, 126])
-    texts = [f"u_{i}" for i in linear]
-    texts += ["u_114^2", "u_115^3", "u_116^2", "u_122^2", "u_124^2"]
+    """The reference 147-element basis for xy - z^4, order 2, at the origin.
+
+    It once held u_122^2 too, which lies outside the limit ideal:
+    `limit_ideal` gives this list and not that one (the stretch check of
+    criterion 5).  u_122 still vanishes on the zero set, through u_124^2
+    and 8*u_113*u_124 + 3*u_122^2."""
+    texts = [f"u_{i}" for i in SURFACE_LINEAR]
+    texts += ["u_114^2", "u_115^3", "u_116^2", "u_124^2"]
     texts += ["u_38*u_83", "u_38*u_113", "u_38*u_114", "u_38*u_122",
               "u_38*u_124", "u_83*u_112", "u_83*u_114", "u_83*u_115",
               "u_83*u_116", "u_112*u_124", "u_113*u_115^2", "u_113*u_116",
@@ -201,15 +207,25 @@ def test_criterion_5_surface_oracle():
         assert restrict_to_plane(P("u_38*u_83", u_ring), (37, 82))
 
         if os.environ.get("NASHBLOWUP_STRETCH"):
-            # full elimination; a budget abort is an accepted outcome
-            try:
-                full = limits.limit_ideal(F, 2, (0, 0, 0),
-                                          max_reductions=2_000_000)
-                computed = Ideal(full.u_ring, list(full.generators))
-                assert ideal_equal(computed, Ideal(u_ring, gens))
-            except BudgetExceededError:
-                print("criterion  5: note  stretch elimination hit its budget",
-                      file=sys.__stdout__, flush=True)
+            # the full limit ideal, with no budget
+            full = limits.limit_ideal(F, 2, (0, 0, 0))
+            computed = Ideal(full.u_ring, list(full.generators))
+            assert ideal_equal(computed, Ideal(u_ring, gens))
+
+
+def test_surface_degree_one_step():
+    # mu = 9 free u's, and linear generators spanning the fixture's 117
+    F = P(SURF, RING3)
+    deltas = [delta for _, delta in hjac.maximal_minors(F, 2)]
+    u_ring = tuple(f"u_{k}" for k in range(1, 127))
+    free, linear = limits._degree_one(F, deltas, u_ring)
+    assert [u_ring[k] for k in free] == [
+        "u_38", "u_83", "u_112", "u_113", "u_114", "u_115", "u_116", "u_122", "u_124"]
+    rows = [[g.terms.get(tuple(int(i == k) for i in range(126)), 0) for k in range(126)]
+            for g in linear]
+    fixture = [[Fraction(k + 1 == i) for k in range(126)] for i in SURFACE_LINEAR]
+    assert len(linear) == len(fixture) == 117
+    assert linalg.rank(rows) == linalg.rank(fixture) == linalg.rank(rows + fixture) == 117
 
 
 def test_surface_reference_planes():

@@ -1,4 +1,5 @@
 import functools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from nashblowup.limits import containment_oracle, describe_planes, limit_ideal, 
 from nashblowup.parser import parse_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P, as_sympy
+from conftest import P, as_sympy, graph_ideal_limit
 
 RING2 = ("x", "y")
 
@@ -56,10 +57,18 @@ def test_budget_propagates():
 
 
 def test_budget_abort_carries_the_minor_table():
+    # the budgets cap the elimination over the free u's; the error still
+    # carries every minor and every u name
     F = translate_to_origin(P(CUSP, RING2), (-1, 1))
+    for budget in ({"max_reductions": 1}, {"max_pairs": 1}):
+        with pytest.raises(BudgetExceededError) as info:
+            limit_ideal(F, 2, (1, -1), **budget)
+        assert info.value.minors == tuple(maximal_minors(P(CUSP, RING2), 2))
+        assert info.value.u_ring == U10
     with pytest.raises(BudgetExceededError) as info:
-        limit_ideal(F, 2, (1, -1), max_reductions=1)
-    assert info.value.minors == tuple(maximal_minors(P(CUSP, RING2), 2))
+        limit_ideal(P("u_1^3 - y^2", ("u_1", "y")), 1, (0, 0), max_pairs=0)
+    assert info.value.u_ring == ("u_1_0", "u_2")
+    assert len(info.value.minors) == 2
 
 
 def test_translate_to_origin():
@@ -126,6 +135,43 @@ def test_translation_invariance(cusp_result):
     origin = cusp_result
     assert shifted.generators == origin.generators
     assert shifted.planes == origin.planes
+
+
+# -- the degree-1 step and the reference elimination ------------------------
+
+
+def free_u_names(text, ring, n):
+    F = P(text, ring)
+    deltas = [delta for _, delta in maximal_minors(F, n)]
+    unames = tuple(f"u_{k}" for k in range(1, len(deltas) + 1))
+    free, linear = limits._degree_one(F, deltas, unames)
+    assert len(free) + len(linear) == len(deltas)
+    return {unames[k] for k in free}
+
+
+def test_degree_one_free_minors_of_the_curves():
+    # mu = dim I/(m*I + (F)) is 2 for the cusp and the node at every order
+    assert free_u_names(CUSP, RING2, 2) == {"u_9", "u_10"}
+    assert free_u_names(NODE, RING2, 2) == {"u_9", "u_10"}
+    assert free_u_names(NODE, RING2, 3) == {"u_83", "u_84"}
+
+
+CURVES = ("x^3 - y^2", "y^2 - x^4", "y^2 - x^5", "x^2*y - y^3", "x^3 + x^2 - y^2")
+SURFACES = ("x*y - z^2", "x^2 + y^3 + z^5", "x*y - z^4")
+DIFFERENTIAL_CASES = ([(text, RING2, n) for text in CURVES for n in (1, 2)]
+                      + [(text, ("x", "y", "z"), 1) for text in SURFACES])
+
+
+@pytest.mark.parametrize("case", range(len(DIFFERENTIAL_CASES)),
+                         ids=[f"{t}-n{n}" for t, _, n in DIFFERENTIAL_CASES])
+def test_limit_ideal_equals_the_graph_ideal_elimination(case):
+    # the singular point of each case moved to a seeded rational center
+    text, ring, n = DIFFERENTIAL_CASES[case]
+    rng = random.Random(case)
+    center = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in ring)
+    F = translate_to_origin(P(text, ring), tuple(-c for c in center))
+    result = limit_ideal(F, n, center)
+    assert (result.generators, result.planes) == graph_ideal_limit(F, n, center)
 
 
 # -- oracles ----------------------------------------------------------------
