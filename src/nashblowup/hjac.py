@@ -11,6 +11,7 @@ when alpha >= beta componentwise and 0 otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,20 +66,40 @@ def _check_input(F: Polynomial, n: int) -> None:
         raise ValueError(f"order must be >= 1, got {n}")
 
 
+@functools.cache
+def _layout(s: int, n: int):
+    """What `build` needs that depends only on (s, n), computed once per
+    pair: the row and column labels, the position of each Taylor index gamma
+    with |gamma| <= n, and per cell the position of alpha - beta, or one
+    past the last for a difference with a negative entry (a zero cell).
+    Every call shares the result, so it is only read."""
+    rows = tuple(mi.enumerate_indices(s, 0, n - 1))
+    cols = tuple(mi.enumerate_indices(s, 1, n))
+    position = {gamma: k for k, gamma in enumerate(mi.enumerate_indices(s, 0, n))}
+    cells = tuple(
+        tuple(position.get(tuple(a - b for a, b in zip(alpha, beta)), len(position))
+              for alpha in cols)
+        for beta in rows)
+    return rows, cols, position, cells
+
+
 def build(F: Polynomial, n: int) -> HigherJacobian:
     """Construct the order-n Jacobian matrix of a nonzero polynomial."""
     _check_input(F, n)
-    s = F.num_vars
-    rows = tuple(mi.enumerate_indices(s, 0, n - 1))
-    cols = tuple(mi.enumerate_indices(s, 1, n))
-    zero = Polynomial.zero(F.ring)
+    rows, cols, position, cells = _layout(F.num_vars, n)
+    # every Taylor coefficient d^gamma F / gamma! = sum c*C(m, gamma) x^(m-gamma)
+    # with |gamma| <= n, in one pass over the terms c*x^m of F; m -> m - gamma
+    # is one-to-one, so no two terms of one coefficient meet
+    terms: list[dict] = [{} for _ in range(len(position))]
+    for mono, c in F.terms.items():
+        for gamma, rest, binom in mi.binomial_terms(mono, n):
+            terms[position[gamma]][rest] = c * binom
     # one Polynomial per Taylor coefficient, shared by every cell with that
     # alpha - beta: `evaluate_at` and `maximal_minors` deduplicate by id().
-    # A difference with a negative entry is not a key, so its cell is zero.
-    taylor = {gamma: F.taylor_coeff(gamma) for gamma in mi.enumerate_indices(s, 0, n)}
-    entries = tuple(
-        tuple(taylor.get(tuple(a - b for a, b in zip(alpha, beta)), zero) for alpha in cols)
-        for beta in rows)
+    # The layout is cached per (s, n); its last position is the zero cell.
+    zero = Polynomial.zero(F.ring)
+    taylor = [Polynomial._from_terms(F.ring, t) if t else zero for t in terms] + [zero]
+    entries = tuple(tuple(map(taylor.__getitem__, row)) for row in cells)
     return HigherJacobian(F, n, rows, cols, entries)
 
 
@@ -93,7 +114,7 @@ def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
     # `build` shares one Polynomial per Taylor coefficient: evaluate each once
     distinct = {id(e): e for row in jac.entries for e in row}
     values = {k: e.evaluate(point) for k, e in distinct.items()}
-    return [[values[id(e)] for e in row] for row in jac.entries]
+    return [list(map(values.__getitem__, map(id, row))) for row in jac.entries]
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from . import multiindex as mi
 from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
 from .hjac import (
     PointNotOnHypersurfaceError,
@@ -39,7 +40,7 @@ from .hjac import (
     _nash_basis,
     maximal_minors,
 )
-from .polynomial import Polynomial, _fresh, grevlex, make_point
+from .polynomial import Polynomial, _collect, _fresh, grevlex, make_point
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,11 @@ def translate_to_origin(F: Polynomial, center) -> Polynomial:
     center = make_point(center)
     if len(center) != F.num_vars:
         raise ValueError(f"center has {len(center)} coordinates, expected {F.num_vars}")
-    return F.substitute({
-        name: Polynomial.variable(F.ring, name) + Polynomial.constant(F.ring, c)
-        for name, c in zip(F.ring, center)
-    })
+    # F(x + p) = sum over gamma of (d^gamma F / gamma!)(p) x^gamma, summed
+    # from the binomial terms of each monomial
+    return Polynomial._from_terms(F.ring, _collect(
+        (gamma, c * binom * math.prod(p**e for p, e in zip(center, rest) if e))
+        for mono, c in F.terms.items() for gamma, rest, binom in mi.binomial_terms(mono)))
 
 
 def limit_ideal(

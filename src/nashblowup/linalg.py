@@ -1,28 +1,27 @@
 """Exact linear algebra over Q: rank, RREF and kernels, all read off one
-fraction-free Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
-denominators."""
+integer Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
+denominators, which keeps every row primitive."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows in
-    place: at each pivot p, every other row becomes
-    (p * row - row[col] * pivot row) // previous pivot, an exact division.
+def _eliminate(work: list[list[int]]) -> list[int]:
+    """Gauss-Jordan elimination of integer rows in place.  At each pivot p
+    of the pivot row `top`, every other row whose entry f in the pivot
+    column is nonzero becomes (p/g)*row - (f/g)*top, g = gcd(p, f), divided
+    by the gcd of its entries; a row with f = 0 is left as it is.
 
-    Pivot columns end cleared above and below, every pivot entry ends equal
-    to the last pivot, and rows past the rank end zero.  Returns the pivot
-    columns and the last pivot."""
+    Pivot columns end cleared above and below, and rows past the rank end
+    zero.  Returns the pivot columns."""
     m = len(work)
     pivots: list[int] = []
-    prev = 1
     for col in range(len(work[0]) if work else 0):
         r = len(pivots)
         if r == m:
@@ -35,39 +34,50 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int]:
         top = work[r]
         p = top[col]
         for i, row in enumerate(work):
-            if i != r:
-                f = row[col]
-                if f == 0 and p == prev:
-                    continue  # (p * row - 0 * top) // prev is the row itself
-                if prev == 1:
-                    row[:] = [p * a - f * b for a, b in zip(row, top)]
-                else:
-                    row[:] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            f = row[col]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-        prev = p
-    return pivots, prev
+    return pivots
 
 
 def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators."""
+    """Each row times the lcm of its denominators.  The numerator and
+    denominator of an int or a Fraction are read as they are; any other
+    exact scalar goes through Fraction first."""
     work = []
     for row in rows:
-        frs = [Fraction(x) for x in row]
-        denom = lcm(*(c.denominator for c in frs))
-        work.append([c.numerator * (denom // c.denominator) for c in frs])
+        ratios = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+                  for x in row]
+        denom = lcm(*[d for _, d in ratios])
+        if denom == 1:
+            work.append([n for n, _ in ratios])
+        else:
+            work.append([n * (denom // d) for n, d in ratios])
     return work
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank: the number of pivots."""
-    return len(_eliminate(_cleared(rows))[0])
+    return len(_eliminate(_cleared(rows)))
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact over Q."""
     work = _cleared(rows)
-    pivots, last = _eliminate(work)
-    return [[Fraction(x, last) for x in row] for row in work], pivots
+    pivots = _eliminate(work)
+    # each pivot row divided by its pivot, one shared zero for the zero entries
+    zero = Fraction(0)
+    R = []
+    for row, col in zip(work, pivots):
+        p = row[col]
+        R.append([Fraction(x, p) if x else zero for x in row])
+    R += [[zero] * len(row) for row in work[len(pivots):]]
+    return R, pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:
@@ -79,11 +89,13 @@ def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vec
     n = len(rows[0])
     R, pivots = rref(rows)
     free = [j for j in range(n) if j not in pivots]
+    zero = Fraction(0)
     basis = []
     for f in free:
-        v = [Fraction(0)] * n
+        v = [zero] * n
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
+            if R[r][f]:
+                v[p] = -R[r][f]
         basis.append(v)
     return basis

@@ -11,6 +11,7 @@ x, y, x^2, xy, y^2, ...).
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
@@ -42,6 +43,23 @@ def factorial(alpha: MultiIndex) -> int:
     for a in alpha:
         result *= math.factorial(a)
     return result
+
+
+def binomial_terms(alpha: MultiIndex, max_degree: int | None = None
+                   ) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
+    """(gamma, alpha - gamma, C(alpha, gamma)) for every gamma <= alpha, only
+    those with |gamma| <= max_degree when it is given: the terms of
+    (x + p)^alpha = sum over gamma of C(alpha, gamma) x^gamma p^(alpha-gamma),
+    where C(alpha, gamma) is the product of the C(alpha_i, gamma_i).
+
+    Summed over the terms c*x^alpha of F, they give both the Taylor
+    coefficients d^gamma F / gamma! = sum c*C(alpha, gamma) x^(alpha-gamma)
+    and the translate F(x + p) = sum over gamma of (d^gamma F / gamma!)(p) x^gamma."""
+    cap = sum(alpha) if max_degree is None else max_degree
+    for gamma in product(*(range(min(a, cap) + 1) for a in alpha)):
+        if sum(gamma) <= cap:
+            yield (gamma, tuple(a - g for a, g in zip(alpha, gamma)),
+                   math.prod(map(math.comb, alpha, gamma)))
 
 
 def canonical_key(alpha: MultiIndex) -> tuple:

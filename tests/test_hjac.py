@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from nashblowup.hjac import (
     shape,
     tangent_space,
 )
+from nashblowup.limits import translate_to_origin
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
@@ -256,6 +258,45 @@ def test_kernel_dimension_at_nonsingular_samples():
                     continue
                 M, C = shape(s, n)
                 assert len(tangent_space(F, n, p)) == C - M
+
+
+# rational parametrizations by (t, s), s != 0, of the three hypersurfaces
+ON_HYPERSURFACE = {
+    CUSP: (RING2, lambda t, s: (t ** 2, t ** 3)),
+    NODE: (RING2, lambda t, s: (t ** 2 - 1, t * (t ** 2 - 1))),
+    SURF: (RING3, lambda t, s: (t ** 4 / s, s, t)),
+}
+
+
+@pytest.mark.parametrize("text", sorted(ON_HYPERSURFACE))
+def test_entries_are_the_coefficients_of_the_translate(text):
+    # F(x + p) = sum over gamma of (d^gamma F / gamma!)(p) x^gamma, so entry
+    # (beta, alpha) of the evaluated matrix is the coefficient of
+    # x^(alpha - beta) in translate_to_origin(F, p): a check of `build`
+    # that does not go through Polynomial.taylor_coeff
+    ring, param = ON_HYPERSURFACE[text]
+    F = P(text, ring)
+    rng = random.Random(text)
+
+    def rational(nonzero=False):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(int(nonzero), 9), rng.randint(1, 7))
+
+    points = [(Fraction(0),) * len(ring)] + [param(rational(), rational(True)) for _ in range(6)]
+    partials = [F.derivative(tuple(int(i == j) for i in range(len(ring))))
+                for j in range(len(ring))]
+    kinds = {all(d.evaluate(p) == 0 for d in partials) for p in points}
+    assert kinds == {True, False}  # singular and non-singular points both
+    for p in points:
+        shifted = translate_to_origin(F, p)
+        for n in (1, 2, 3, 4):
+            jac = build(F, n)
+            matrix = evaluate_at(jac, p)
+            for beta, row in zip(jac.row_labels, matrix):
+                for alpha, value in zip(jac.col_labels, row):
+                    if mi.leq(beta, alpha):
+                        assert value == shifted.terms.get(sub(alpha, beta), 0)
+                    else:
+                        assert value == 0
 
 
 def test_echelon_property():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashblowup import linalg
+from nashblowup import hjac, linalg
+from nashblowup.parser import parse_polynomial
 
 
 def test_rank_fixtures():
@@ -85,9 +87,7 @@ def low_rank_strategy():
             for a in ab[0]])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(matrix_strategy(), low_rank_strategy()))
-def test_rank_rref_kernel_match_sympy(rows):
+def assert_matches_sympy(rows):
     expected, expected_pivots = to_sympy(rows).rref()
     R, pivots = linalg.rref(rows)
     assert pivots == list(expected_pivots)
@@ -95,3 +95,51 @@ def test_rank_rref_kernel_match_sympy(rows):
     assert linalg.rank(rows) == len(expected_pivots)
     kernel = linalg.kernel_basis(rows, width=len(rows[0]))
     assert [to_sympy([v]).T for v in kernel] == to_sympy(rows).nullspace()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrix_strategy(), low_rank_strategy()))
+def test_rank_rref_kernel_match_sympy(rows):
+    assert_matches_sympy(rows)
+
+
+# Jacobian-sized input: wide, sparse and rank-deficient, where the
+# elimination skips rows with a zero in the pivot column and divides rows
+# by the gcd of their entries
+
+
+def workload_points():
+    """The singular origin, then points (t^4/s, s, t) of x*y - z^4, the
+    first with t = 0."""
+    rng = random.Random(0)
+    points = [(0, 0, 0)]
+    for k in range(5):
+        s = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if k else Fraction(0)
+        points.append((t ** 4 / s, s, t))
+    return points
+
+
+@pytest.mark.parametrize("point", workload_points())
+def test_match_sympy_on_order_four_jacobians(point):
+    # x*y - z^4 at n=4 (20 x 34), at the points the pointwise benchmark queries
+    F = parse_polynomial("x*y - z^4", ("x", "y", "z"))
+    rows = hjac.evaluate_at(hjac.build(F, 4), point)
+    assert (len(rows), len(rows[0])) == (20, 34)
+    assert_matches_sympy(rows)
+    assert linalg.rank(rows) == (10 if point == (0, 0, 0) else 20)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 9, 13, 19, 20])
+def test_match_sympy_on_wide_low_rank_products(k):
+    # 20 x 34 products of sparse 20 x k and k x 34 factors: rank at most k,
+    # with zero rows and columns
+    rng = random.Random(k)
+    left = [[rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(k)]
+            for _ in range(20)]
+    right = [[rng.choice([0, 0, 0, 0, 1, -2, 3, Fraction(-1, 2)]) for _ in range(34)]
+             for _ in range(k)]
+    rows = [[sum((a[i] * right[i][j] for i in range(k)), Fraction(0)) for j in range(34)]
+            for a in left]
+    assert linalg.rank(rows) <= k
+    assert_matches_sympy(rows)

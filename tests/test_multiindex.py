@@ -33,6 +33,22 @@ def test_multi_binomial_factorial_identity():
                 assert lhs == mi.factorial(alpha)
 
 
+def test_binomial_terms_expand_a_power():
+    # (x + p)^alpha: every gamma <= alpha once, with alpha - gamma beside it,
+    # and the C(alpha, gamma) summing to 2^|alpha|; a degree cap keeps exactly
+    # the gamma of degree at most the cap
+    for s in range(1, 4):
+        for alpha in mi.enumerate_indices(s, 0, 6 // s):
+            terms = list(mi.binomial_terms(alpha))
+            below = [g for g in mi.enumerate_indices(s, 0, sum(alpha)) if mi.leq(g, alpha)]
+            assert sorted(g for g, _, _ in terms) == sorted(below)
+            assert all(sub(alpha, g) == rest for g, rest, _ in terms)
+            assert sum(c for _, _, c in terms) == 2 ** sum(alpha)
+            for cap in range(sum(alpha) + 1):
+                assert list(mi.binomial_terms(alpha, cap)) == [
+                    t for t in terms if sum(t[0]) <= cap]
+
+
 def test_enumerate_s2():
     # column order of the 3x5 order-2 matrix of a plane curve: x, y, x^2, xy, y^2
     assert mi.enumerate_indices(2, 1, 2) == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
