@@ -1,6 +1,6 @@
 """Exact linear algebra over Q: rank, RREF and kernels, all read off one
 integer Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
-denominators, which keeps every row primitive."""
+denominators, which makes each row it updates primitive."""
 
 from __future__ import annotations
 
