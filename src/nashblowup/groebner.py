@@ -62,15 +62,6 @@ class Ideal:
 # -- internal integer representation ------------------------------------------
 
 
-def _content(terms: dict) -> int:
-    c = 0
-    for v in terms.values():
-        c = gcd(c, v)
-        if c == 1:
-            return 1
-    return c
-
-
 def _cleared(f: Polynomial) -> tuple[dict, int]:
     """(terms, d): integer terms equal to d * f for the least such d."""
     d = lcm(*(c.denominator for c in f.terms.values()))
@@ -85,29 +76,13 @@ def _entry(terms: dict, keyf) -> tuple | None:
     zero."""
     if not terms:
         return None
-    cont = _content(terms)
+    cont = gcd(*terms.values())
     lt = max(terms, key=keyf)
     if terms[lt] < 0:
         cont = -cont
     if cont != 1:
         terms = {m: v // cont for m, v in terms.items()}
     return terms, lt, terms[lt]
-
-
-# Monomial kernels as maps over C builtins.  The divisibility test
-# `all(map(le, a, b))` (a divides b) is written inline where it runs.
-
-
-def _mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def _mono_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
 
 
 class _KeyCache(dict):
@@ -168,7 +143,7 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> t
                     work = {m: v * a for m, v in work.items()}
                     remainder = {m: v * a for m, v in remainder.items()}
                     scale *= a
-                shift = _mono_sub(lt, g_lt)
+                shift = tuple(map(sub, lt, g_lt))
                 for m, v in g_terms.items():
                     if m == g_lt:
                         continue
@@ -188,14 +163,14 @@ def _spoly_int(f: tuple, g: tuple) -> dict:
     """Integer S-polynomial of two (terms, lt, lc) entries."""
     f_terms, f_lt, f_lc = f
     g_terms, g_lt, g_lc = g
-    lcm = _mono_lcm(f_lt, g_lt)
+    lcm = tuple(map(max, f_lt, g_lt))
     d = gcd(f_lc, g_lc)
     cf = g_lc // d
     cg = -(f_lc // d)
-    sf = _mono_sub(lcm, f_lt)
-    sg = _mono_sub(lcm, g_lt)
-    pairs = [(_mono_mul(m, sf), cf * v) for m, v in f_terms.items()]
-    pairs += [(_mono_mul(m, sg), cg * v) for m, v in g_terms.items()]
+    sf = tuple(map(sub, lcm, f_lt))
+    sg = tuple(map(sub, lcm, g_lt))
+    pairs = [(tuple(map(add, m, sf)), cf * v) for m, v in f_terms.items()]
+    pairs += [(tuple(map(add, m, sg)), cg * v) for m, v in g_terms.items()]
     return _collect(pairs)
 
 
@@ -253,8 +228,8 @@ def buchberger(
         basis.append(entry)
         new = len(basis) - 1
         for k in range(new):
-            lcm = _mono_lcm(basis[k][1], basis[new][1])
-            if lcm == _mono_mul(basis[k][1], basis[new][1]):
+            lcm = tuple(map(max, basis[k][1], basis[new][1]))
+            if lcm == tuple(map(add, basis[k][1], basis[new][1])):
                 continue  # coprime leading monomials: S-poly reduces to zero
             heapq.heappush(heap, (keyf(lcm), next(counter), k, new, lcm))
             pending.add((k, new))

@@ -1,11 +1,13 @@
-"""Standard-monomial counting for monomial ideals and the local dimension
-criteria it supports.
+"""Standard-monomial counting for monomial ideals, and the local Hilbert
+function of a hypersurface with the dimension criterion it supports.
 
 `graded_dim(a, n)` counts monomials of degree n outside a monomial ideal,
 i.e. dim m^n/m^(n+1) for the quotient by the ideal.  For a hypersurface
-through the origin the same count is obtained from the leading monomial of
-the lowest homogeneous component, which gives a dimension-based
-non-singularity test equivalent to the rank criterion.
+through the origin the initial ideal is generated by one monomial of degree
+e = ord_0 F, the least total degree of the terms of F, so the same count
+has the closed form C(n+s-1, s-1) - C(n-e+s-1, s-1), the second term 0
+for n < e.  It gives a dimension-based non-singularity test equivalent to
+the rank criterion.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from . import multiindex as mi
 from .hjac import PointNotOnHypersurfaceError, _check_input
 from .limits import translate_to_origin
-from .polynomial import Polynomial, grevlex, make_point
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -50,18 +52,20 @@ def graded_dim(a: MonomialIdeal, n: int) -> int:
 def local_hilbert(F: Polynomial, n: int) -> int:
     """dim m^n/m^(n+1) of the local ring of V(F) at the origin.
 
-    Equals the standard-monomial count of the principal monomial ideal
-    generated by the grevlex leading monomial of the lowest homogeneous
-    component of F; the count does not depend on the order used.
+    The initial ideal of F at the origin is principal, generated by a
+    monomial of degree e = ord_0 F, so this is the count of degree-n
+    monomials outside it: C(n+s-1, s-1) - C(n-e+s-1, s-1), where the second
+    term is 0 when n < e.
     """
     if F.is_zero():
         raise ValueError("F must be nonzero")
-    origin = make_point([0] * F.num_vars)
-    if F.evaluate(origin) != 0:
+    if F.constant_term():
         raise PointNotOnHypersurfaceError("F(0) != 0: the origin is not on the hypersurface")
-    f0 = F.lowest_homogeneous_component()
-    lead = f0.leading_monomial(grevlex())
-    return graded_dim(MonomialIdeal(F.num_vars, [lead]), n)
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    s = F.num_vars
+    e = min(map(sum, F.terms))
+    return math.comb(n + s - 1, s - 1) - (math.comb(n - e + s - 1, s - 1) if n >= e else 0)
 
 
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:

@@ -231,27 +231,21 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
 
 
 def nash_ideal(F: Polynomial, n: int) -> Ideal:
-    """The ideal generated by the maximal minors, as a reduced basis modulo <F>.
-
-    F is assumed irreducible (documented precondition, not verified)."""
-    return Ideal(F.ring, _nash_basis(F, [minor for _, minor in maximal_minors(F, n)]))
-
-
-def _nash_basis(F: Polynomial, minors: list[Polynomial]) -> list[Polynomial]:
-    """The reduced Nash basis of F from its minors: the nonzero normal forms
-    modulo F, made monic and with duplicates dropped, of the reduced grevlex
-    basis of <F> + (minors).
+    """The ideal generated by the maximal minors, as a reduced basis modulo <F>:
+    the nonzero normal forms modulo F, made monic and with duplicates
+    dropped, of the reduced grevlex basis of <F> + (minors).
 
     `buchberger` takes the generators one at a time and keeps its basis
     reduced, so each minor already in the ideal of those before it costs
-    one reduction."""
+    one reduction.  F is assumed irreducible (documented precondition, not
+    verified)."""
     order = grevlex()
     gens: list[Polynomial] = []
-    for g in buchberger([F] + minors, order, F.ring):
+    for g in buchberger([F] + [minor for _, minor in maximal_minors(F, n)], order, F.ring):
         nf = normal_form(g, [F], order)
         if nf.is_zero():
             continue
         nf = nf.scalar_mul(1 / nf.terms[nf.leading_monomial(order)])
         if nf not in gens:
             gens.append(nf)
-    return gens
+    return Ideal(F.ring, gens)

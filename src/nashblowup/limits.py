@@ -11,9 +11,11 @@ ideal of the minors modulo F and m the maximal ideal of the center.  m
 annihilates each I^d/m*I^d, so by Nakayama the mu minors whose classes are a
 basis of I/(m*I + (F)) give the same fiber ring, and every other u_J maps
 into it as a linear form in theirs.  `limit_ideal` therefore reads those
-linear forms off one rref of normal forms (`_degree_one`) and eliminates t
-over the mu free u's only: at n=2, 9 of the 126 for xy - z^4 and 2 of the 10
-for the cusp and the node.
+linear forms off one rref of the minors' normal forms modulo the grevlex
+basis of m*I + (F) (`_degree_one`), and eliminates t over the mu free u's
+only: at n=2, 9 of the 126 for xy - z^4 and 2 of the 10 for the cusp and
+the node.  Setting x = 0 keeps the terms of the eliminated basis that hold
+no x.
 
 `describe_planes` reports that zero set as a union of linear subspaces of
 u-space when it can.  It runs a depth-first worklist over branches, each a
@@ -33,13 +35,7 @@ from fractions import Fraction
 from . import linalg
 from . import multiindex as mi
 from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
-from .hjac import (
-    PointNotOnHypersurfaceError,
-    SingularPointError,
-    _check_input,
-    _nash_basis,
-    maximal_minors,
-)
+from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
 from .polynomial import Polynomial, _collect, _fresh, grevlex, make_point
 
 
@@ -88,7 +84,8 @@ def limit_ideal(
        for the others, with every u_f free and after u_J.
     2. t is eliminated from <F, u_f - t*Delta_f> over the free u's by
        `groebner.eliminate` under (t) >> grevlex(x, u), the one step the
-       budgets cap; x is set to 0 and the result reduced in the free u's.
+       budgets cap; x is set to 0, keeping the terms that hold no x, and
+       the result is reduced in the free u's.
     3. The linear generators and that basis, sorted by leading monomial,
        are the reduced grevlex basis in all u's: the leading terms u_J of
        the linear generators are not free u's, and their tails hold only
@@ -123,12 +120,13 @@ def limit_ideal(
         exc.minors = minors
         exc.u_ring = unames
         raise
-    zero_x = {v: 0 for v in F.ring}
+    # x = 0: keep the terms free of x, without their x exponents
+    s = F.num_vars
     projected: list[Polynomial] = []
     for g in xu.generators:
-        h = g.substitute(zero_x)
-        if not h.is_zero():
-            projected.append(h.to_ring(free_names))
+        terms = {m[s:]: c for m, c in g.terms.items() if not any(m[:s])}
+        if terms:
+            projected.append(Polynomial._from_terms(free_names, terms))
     order = grevlex()
     reduced = buchberger(projected, order, free_names) if projected else []
     key = order.key_func(unames)
@@ -150,17 +148,17 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     monic linear generators of the limit ideal, one per other position.
 
     The normal forms of the Delta_J modulo G, the grevlex basis of F and
-    every x_i*b for b in the reduced Nash basis B, are the classes of the
-    Delta_J in I/(m*I + (F)), since B and F generate I + (F).  One rref of
-    their coordinates, the columns in reverse u order, picks as pivots the
-    free minors latest in that order, so each other column J is a
-    combination of free columns after it: u_J - sum c_Jf*u_f, with leading
-    term u_J in grevlex.  The rref holds one row per monomial of the normal
+    every x_i*g for g in the grevlex basis of (F) + I, are the classes of
+    the Delta_J in I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F).  One
+    rref of their coordinates, the columns in reverse u order, picks as
+    pivots the free minors latest in that order, so each other column J is
+    a combination of free columns after it: u_J - sum c_Jf*u_f, with
+    leading term u_J in grevlex.  The rref holds one row per monomial of the normal
     forms, so its size is about mu*lambda; the lambda x lambda relation
     kernel is never formed."""
     order = grevlex()
     ring = shifted.ring
-    G = buchberger([shifted] + [x * b for b in _nash_basis(shifted, deltas)
+    G = buchberger([shifted] + [x * g for g in buchberger([shifted] + deltas, order, ring)
                                 for x in Polynomial.variables(ring)], order, ring)
     forms = [normal_form(delta, G, order) for delta in reversed(deltas)]
     monomials = sorted({m for f in forms for m in f.terms})

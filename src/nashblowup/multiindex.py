@@ -37,14 +37,6 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
-def factorial(alpha: MultiIndex) -> int:
-    """alpha! = alpha_1! * ... * alpha_s!."""
-    result = 1
-    for a in alpha:
-        result *= math.factorial(a)
-    return result
-
-
 def binomial_terms(alpha: MultiIndex, max_degree: int | None = None
                    ) -> Iterator[tuple[MultiIndex, MultiIndex, int]]:
     """(gamma, alpha - gamma, C(alpha, gamma)) for every gamma <= alpha, only

@@ -245,10 +245,6 @@ class Polynomial:
             terms[tuple(e - a for e, a in zip(mono, alpha))] = c * factor
         return Polynomial._from_terms(self.ring, terms)
 
-    def taylor_coeff(self, alpha: mi.MultiIndex) -> "Polynomial":
-        """d^alpha(self) / alpha!, exactly."""
-        return self.derivative(alpha).scalar_mul(Fraction(1, mi.factorial(tuple(alpha))))
-
     # -- evaluation / substitution -------------------------------------------
 
     def evaluate(self, point: Iterable) -> Fraction:
@@ -287,13 +283,6 @@ class Polynomial:
                 term = term * Polynomial(self.ring, {tuple(untouched): 1})
             result = result + term
         return result
-
-    def lowest_homogeneous_component(self) -> "Polynomial":
-        """Sum of the terms of minimal total degree; undefined for 0."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no lowest homogeneous component")
-        low = min(sum(m) for m in self.terms)
-        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if sum(m) == low})
 
     # -- monomial-order-dependent views ---------------------------------------
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -46,6 +47,16 @@ def sympy_det(rows):
     det = sympy.Poly(matrix.domain.to_sympy(matrix.det()), *symbols)
     return Polynomial(ring, {m: Fraction(c.p, c.q)
                              for m, c in det.as_dict().items()})
+
+
+def factorial(alpha):
+    """alpha! = alpha_1! * ... * alpha_s!."""
+    return math.prod(map(math.factorial, alpha))
+
+
+def taylor_coeff(f, alpha):
+    """The Taylor coefficient d^alpha f / alpha!, exactly."""
+    return f.derivative(alpha).scalar_mul(Fraction(1, factorial(alpha)))
 
 
 def sub(alpha, beta):

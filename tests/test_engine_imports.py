@@ -1,5 +1,6 @@
-"""The engine in src/nashblowup imports nothing outside the standard library;
-sympy and the other test extras serve only as references in the tests."""
+"""The engine in src/nashblowup imports nothing outside the standard library,
+sympy and the other test extras serving only as references in the tests,
+and it keeps no private helper that nothing calls."""
 
 import ast
 import sys
@@ -38,3 +39,36 @@ def test_engine_imports_only_the_standard_library():
     assert paths
     found = {path.name: foreign_imports(path.read_text()) for path in paths}
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every module-level private function, `_name` but
+    not `__name__`, that no code outside its own def refers to, by name or
+    as an attribute, in any of the modules of `sources` (module -> text).
+    An import alone is not a reference."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    helpers = [(module, node) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    orphaned = []
+    for module, helper in helpers:
+        inside = {id(node) for node in ast.walk(helper)}
+        if not any(isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in inside
+                   and (node.id if isinstance(node, ast.Name) else node.attr) == helper.name
+                   for tree in trees.values() for node in ast.walk(tree)):
+            orphaned.append((module, helper.name))
+    return orphaned
+
+
+def test_orphaned_helpers_fixture():
+    sources = {
+        "a": ("def _used(): pass\ndef _recursive(): return _recursive()\n"
+              "def _imported(): pass\ndef __dunder__(): pass\ndef public(): return _used()\n"),
+        "b": "from .a import _imported\nfrom . import a\nx = a._attr\ndef _attr(): pass\n",
+    }
+    assert orphaned_helpers(sources) == [("a", "_recursive"), ("a", "_imported")]
+
+
+def test_engine_keeps_no_orphaned_private_helper():
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert orphaned_helpers(sources) == []

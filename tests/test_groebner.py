@@ -11,9 +11,6 @@ from nashblowup.groebner import (
     BudgetExceededError,
     Ideal,
     _keyf,
-    _mono_lcm,
-    _mono_mul,
-    _mono_sub,
     buchberger,
     eliminate,
     ideal_equal,
@@ -435,19 +432,7 @@ def test_coefficient_arithmetic_stays_exact():
     assert normal_form(g, basis, lex()).is_zero()
 
 
-# -- monomial kernels and order keys ----------------------------------------
-
-
-def test_monomial_kernels_match_their_definitions():
-    rng = random.Random(14)
-    for _ in range(300):
-        n = rng.randint(0, 6)
-        a = tuple(rng.randint(0, 5) for _ in range(n))
-        b = tuple(rng.randint(0, 5) for _ in range(n))
-        assert _mono_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
-        assert _mono_mul(a, b) == tuple(x + y for x, y in zip(a, b))
-        assert _mono_sub(a, b) == tuple(x - y for x, y in zip(a, b))
-    assert _mono_lcm((), ()) == _mono_mul((), ()) == _mono_sub((), ()) == ()
+# -- order keys ------------------------------------------------------------
 
 
 def test_cached_order_key_orders_like_key_func():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from nashblowup import multiindex as mi
 from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert, \
     nonsingular_by_dimension
 from nashblowup.hjac import PointNotOnHypersurfaceError, is_singular, rank_at, shape
-from nashblowup.polynomial import Polynomial
+from nashblowup.polynomial import Polynomial, grevlex
 
 from conftest import P
 
@@ -106,6 +107,34 @@ def test_local_hilbert_preconditions():
 def test_local_hilbert_origin_off_surface_is_specific():
     with pytest.raises(PointNotOnHypersurfaceError, match="origin is not on"):
         local_hilbert(P("x^3 - y^2 + 1", RING2), 2)
+
+
+def test_local_hilbert_checks_the_origin_before_the_degree():
+    with pytest.raises(PointNotOnHypersurfaceError):
+        local_hilbert(P("1 + x", RING2), -1)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        local_hilbert(P("x", RING2), -1)
+
+
+def test_local_hilbert_matches_the_enumeration():
+    # the closed form against the count of degree-n monomials outside the
+    # initial ideal, generated by the grevlex leading monomial of the
+    # lowest-degree terms of F
+    rng = random.Random(17)
+    for s in range(1, 5):
+        ring = tuple(f"x_{i}" for i in range(s))
+        for e in range(1, 6):
+            lowest = list(mi.iter_degree(s, e))
+            higher = [m for d in range(e + 1, e + 3) for m in mi.iter_degree(s, d)]
+            for _ in range(3):
+                terms = {m: rng.choice([-3, -1, 1, 2])
+                         for m in rng.sample(lowest, min(3, len(lowest)))}
+                terms.update((m, rng.randint(-4, 4))
+                             for m in rng.sample(higher, min(4, len(higher))))
+                F = Polynomial(ring, terms)
+                lead = max((m for m in F.terms if sum(m) == e), key=grevlex().key_func(ring))
+                for n in range(9):
+                    assert local_hilbert(F, n) == graded_dim(MonomialIdeal(s, [lead]), n)
 
 
 def test_local_hilbert_lower_bound():

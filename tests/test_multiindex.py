@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nashblowup import multiindex as mi
 
-from conftest import sub
+from conftest import factorial, sub
 
 
 def test_leq():
@@ -28,9 +28,9 @@ def test_multi_binomial_factorial_identity():
                 if not mi.leq(beta, alpha):
                     continue
                 lhs = (math.prod(map(math.comb, alpha, beta))
-                       * mi.factorial(beta)
-                       * mi.factorial(sub(alpha, beta)))
-                assert lhs == mi.factorial(alpha)
+                       * factorial(beta)
+                       * factorial(sub(alpha, beta)))
+                assert lhs == factorial(alpha)
 
 
 def test_binomial_terms_expand_a_power():
