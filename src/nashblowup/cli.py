@@ -143,8 +143,9 @@ def cmd_minors(args) -> int:
 def cmd_nashideal(args) -> int:
     names = _parse_vars(args.vars)
     F = _parse_poly(args.poly, names)
-    table = hjac.maximal_minors(F, args.n)
+    # the ideal first: its own minor table is freed before this one is built
     ideal = hjac.nash_ideal(F, args.n)
+    table = hjac.maximal_minors(F, args.n)
     gens = [format_polynomial(g) for g in ideal.generators]
     _emit(args, {"minor_count": len(table), "generators": gens},
           lambda: [f"{len(table)} minors", *_minor_lines(_minor_entries(table)),

@@ -6,19 +6,20 @@ i.e. dim m^n/m^(n+1) for the quotient by the ideal.  For a hypersurface
 through the origin the initial ideal is generated by one monomial of degree
 e = ord_0 F, the least total degree of the terms of F, so the same count
 has the closed form C(n+s-1, s-1) - C(n-e+s-1, s-1), the second term 0
-for n < e.  It gives a dimension-based non-singularity test equivalent to
-the rank criterion.
+for n < e.  At a point p of V(F), e = ord_p F is read from the Taylor
+coefficients of F at p, and the same closed form gives a dimension-based
+non-singularity test equivalent to the rank criterion.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import multiindex as mi
 from .hjac import PointNotOnHypersurfaceError, _check_input
-from .limits import translate_to_origin
-from .polynomial import Polynomial
+from .polynomial import Polynomial, make_point
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,12 @@ def graded_dim(a: MonomialIdeal, n: int) -> int:
     return sum(1 for alpha in mi.iter_degree(a.s, n) if not a.contains_monomial(alpha))
 
 
+def _graded_count(s: int, n: int, e: int) -> int:
+    """dim m^n/m^(n+1) at a point where F in s variables has order e: the
+    degree-n monomials outside one monomial of degree e."""
+    return math.comb(n + s - 1, s - 1) - (math.comb(n - e + s - 1, s - 1) if n >= e else 0)
+
+
 def local_hilbert(F: Polynomial, n: int) -> int:
     """dim m^n/m^(n+1) of the local ring of V(F) at the origin.
 
@@ -63,17 +70,32 @@ def local_hilbert(F: Polynomial, n: int) -> int:
         raise PointNotOnHypersurfaceError("F(0) != 0: the origin is not on the hypersurface")
     if n < 0:
         raise ValueError("degree must be non-negative")
-    s = F.num_vars
-    e = min(map(sum, F.terms))
-    return math.comb(n + s - 1, s - 1) - (math.comb(n - e + s - 1, s - 1) if n >= e else 0)
+    return _graded_count(F.num_vars, n, min(map(sum, F.terms)))
+
+
+def _order_at(F: Polynomial, point) -> int:
+    """ord_p F at a point p with F(p) = 0: the least |gamma| whose Taylor
+    coefficient (d^gamma F / gamma!)(p) = sum c*C(m, gamma)*p^(m-gamma) is
+    nonzero.  The coefficients are read one at a time from degree 1 up, so
+    a non-singular point costs at most the s first partials; the search
+    ends by deg F, where the coefficients are those of F's top-degree terms."""
+    def coefficient(gamma):
+        return sum(c * math.prod(math.comb(a, g) * p**(a - g) for a, g, p in zip(m, gamma, point))
+                   for m, c in F.terms.items() if all(map(operator.ge, m, gamma)))
+
+    return next(e for e in range(1, F.total_degree() + 1)
+                if any(map(coefficient, mi.iter_degree(F.num_vars, e))))
 
 
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
     """Dimension criterion: p is non-singular iff
-    dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1."""
+    dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1, the sum over k = 1..n of the
+    local Hilbert function, a closed form in the order of F at p."""
     _check_input(F, n)
+    point = make_point(point)
     if F.evaluate(point) != 0:
         raise PointNotOnHypersurfaceError("point is not on the hypersurface")
-    shifted = translate_to_origin(F, point)
-    total = sum(local_hilbert(shifted, k) for k in range(1, n + 1))
-    return total == math.comb(n + F.num_vars - 1, F.num_vars - 1) - 1
+    s = F.num_vars
+    e = _order_at(F, point)
+    total = sum(_graded_count(s, k, e) for k in range(1, n + 1))
+    return total == math.comb(n + s - 1, s - 1) - 1

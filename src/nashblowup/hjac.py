@@ -12,6 +12,7 @@ when alpha >= beta componentwise and 0 otherwise.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,30 @@ def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
 # -- minors --------------------------------------------------------------------
 
 
+def _collector_paused(fn):
+    """Run fn with CPython's cyclic garbage collector paused, restoring on
+    exit the state it had on entry: a nested call, or a call made with the
+    collector already off, leaves it as it was, and so does an exception.
+
+    The minor table and the basis built from it are tens of thousands of
+    dicts, tuples and Polynomials; each allocation counts towards the next
+    collection, and every collection rescans all that survived the last.
+    They hold no reference cycles, so reference counting frees them without
+    the collector."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        if enabled:
+            gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynomial]]:
     """All C(N-1, M) maximal minors of the order-n matrix.
 
@@ -160,6 +185,10 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     M*deg F, cannot carry from one variable's field into the next and
     multiplying monomials is adding ints.  Partial products are keyed by the
     bitmask of their columns.  Each coefficient is divided by d^M at the end.
+
+    Runs with the cyclic garbage collector paused (`_collector_paused`):
+    the table allocates about one object per term of every minor and makes
+    no reference cycles, and each collection would rescan all of it.
     """
     jac = build(F, n)
     M, C = jac.num_rows, jac.num_cols
@@ -230,6 +259,7 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     return table
 
 
+@_collector_paused
 def nash_ideal(F: Polynomial, n: int) -> Ideal:
     """The ideal generated by the maximal minors, as a reduced basis modulo <F>:
     the nonzero normal forms modulo F, made monic and with duplicates
@@ -238,7 +268,11 @@ def nash_ideal(F: Polynomial, n: int) -> Ideal:
     `buchberger` takes the generators one at a time and keeps its basis
     reduced, so each minor already in the ideal of those before it costs
     one reduction.  F is assumed irreducible (documented precondition, not
-    verified)."""
+    verified).
+
+    Runs, its `buchberger` call over the whole minor table included, with
+    the cyclic garbage collector paused, as `maximal_minors` does and for
+    the same reason; the table is freed on return."""
     order = grevlex()
     gens: list[Polynomial] = []
     for g in buchberger([F] + [minor for _, minor in maximal_minors(F, n)], order, F.ring):

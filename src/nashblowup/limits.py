@@ -149,7 +149,8 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
 
     The normal forms of the Delta_J modulo G, the grevlex basis of F and
     every x_i*g for g in the grevlex basis of (F) + I, are the classes of
-    the Delta_J in I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F).  One
+    the Delta_J in I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F); a g
+    that is F up to a scalar is skipped, as x_i*F lies in (F).  One
     rref of their coordinates, the columns in reverse u order, picks as
     pivots the free minors latest in that order, so each other column J is
     a combination of free columns after it: u_J - sum c_Jf*u_f, with
@@ -158,8 +159,10 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     kernel is never formed."""
     order = grevlex()
     ring = shifted.ring
+    # the basis is monic, so F enters it, if at all, as F made monic
+    monic = shifted.scalar_mul(1 / shifted.terms[shifted.leading_monomial(order)])
     G = buchberger([shifted] + [x * g for g in buchberger([shifted] + deltas, order, ring)
-                                for x in Polynomial.variables(ring)], order, ring)
+                                if g != monic for x in Polynomial.variables(ring)], order, ring)
     forms = [normal_form(delta, G, order) for delta in reversed(deltas)]
     monomials = sorted({m for f in forms for m in f.terms})
     R, pivots = linalg.rref([[f.terms.get(m, 0) for f in forms] for m in monomials])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nashblowup import hjac
 from nashblowup.cli import main
 from nashblowup.parser import parse_polynomial
 from nashblowup.polynomial import Polynomial, lex
@@ -136,6 +137,24 @@ def test_nashideal(capsys):
     F = parse_polynomial("x^3 - y^2", ring)
     expected = [parse_polynomial(t, ring) for t in ("x*y^2", "y^3")]
     assert ideal_equal(Ideal(ring, gens + [F]), Ideal(ring, expected + [F]))
+
+
+def test_nashideal_builds_one_minor_table_at_a_time(capsys, monkeypatch):
+    # nash_ideal's table is freed when it returns, so the printed table is
+    # built only after it has returned
+    events = []
+    for name in ("nash_ideal", "maximal_minors"):
+        def spy(*args, _name=name, _fn=getattr(hjac, name)):
+            events.append(("enter", _name))
+            result = _fn(*args)
+            events.append(("exit", _name))
+            return result
+        monkeypatch.setattr(hjac, name, spy)
+    code, _, _ = run(capsys, "nashideal", "--poly", "x^3-y^2", "--vars", "x,y", "-n", "2")
+    assert code == 0
+    assert events == [("enter", "nash_ideal"), ("enter", "maximal_minors"),
+                      ("exit", "maximal_minors"), ("exit", "nash_ideal"),
+                      ("enter", "maximal_minors"), ("exit", "maximal_minors")]
 
 
 # -- limits ------------------------------------------------------------------

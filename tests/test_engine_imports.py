@@ -1,6 +1,7 @@
 """The engine in src/nashblowup imports nothing outside the standard library,
 sympy and the other test extras serving only as references in the tests,
-and it keeps no private helper that nothing calls."""
+it keeps no private helper that nothing calls, and one helper alone pauses
+the cyclic garbage collector."""
 
 import ast
 import sys
@@ -72,3 +73,41 @@ def test_orphaned_helpers_fixture():
 def test_engine_keeps_no_orphaned_private_helper():
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+SWITCHES = {"disable", "enable"}
+
+
+def collector_switches(sources: dict[str, str]) -> list[tuple[str, str | None, str]]:
+    """(module, module-level def or None, name) of every use of gc.disable
+    and gc.enable in the modules of `sources` (module -> text), as an
+    attribute of `gc` or imported from it, sorted."""
+    found = set()
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in SWITCHES
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                    found.add((module, where, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    found.update((module, where, alias.name) for alias in node.names
+                                 if alias.name in SWITCHES)
+    return sorted(found, key=lambda f: (f[0], f[1] or "", f[2]))
+
+
+def test_collector_switches_fixture():
+    sources = {
+        "a": ("import gc\ndef _paused(fn):\n    gc.disable()\n    gc.enable()\n"
+              "def other():\n    return gc.isenabled()\n"),
+        "b": "from gc import disable as off\nimport gc\ngc.enable()\n",
+    }
+    assert collector_switches(sources) == [
+        ("a", "_paused", "disable"), ("a", "_paused", "enable"),
+        ("b", None, "disable"), ("b", None, "enable")]
+
+
+def test_engine_pauses_the_collector_in_one_helper():
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert collector_switches(sources) == [
+        ("hjac.py", "_collector_paused", "disable"), ("hjac.py", "_collector_paused", "enable")]

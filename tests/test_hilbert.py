@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from nashblowup import hilbert
 from nashblowup import multiindex as mi
 from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert, \
     nonsingular_by_dimension
 from nashblowup.hjac import PointNotOnHypersurfaceError, is_singular, rank_at, shape
+from nashblowup.limits import translate_to_origin
 from nashblowup.polynomial import Polynomial, grevlex
 
 from conftest import P
@@ -201,3 +203,34 @@ def test_dimension_criterion_matches_rank_criterion():
             for n in (1, 2, 3):
                 assert nonsingular_by_dimension(F, n, p) == (
                     not is_singular(F, n, p))
+
+
+def random_points(rng):
+    """Seeded points of the cusp, the node and x*y - z^4, the singular point
+    of each among them, from their parametrisations."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    ts = [q() for _ in range(4)]
+    return {
+        CUSP: [(t**2, t**3) for t in ts + [0]],
+        NODE: [(t**2 - 1, t * (t**2 - 1)) for t in ts + [1, -1]],
+        SURF: [(t**4 / s, s, t) for t, s in zip(ts, [q() or 1 for _ in ts])]
+        + [(q(), 0, 0), (0, q(), 0), (0, 0, 0)],
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dimension_criterion_matches_the_translate(seed):
+    # the order of F at p read from its Taylor coefficients against the
+    # old route: the local Hilbert function of the whole translate F(x + p)
+    for text, points in random_points(random.Random(seed)).items():
+        F = P(text, RING3 if text == SURF else RING2)
+        s = F.num_vars
+        for p in points:
+            shifted = translate_to_origin(F, p)
+            assert hilbert._order_at(F, p) == min(map(sum, shifted.terms))
+            for n in range(1, 5):
+                total = sum(local_hilbert(shifted, k) for k in range(1, n + 1))
+                assert nonsingular_by_dimension(F, n, p) == (
+                    total == math.comb(n + s - 1, s - 1) - 1)

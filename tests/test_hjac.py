@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashblowup import linalg
+from nashblowup import hjac, linalg
 from nashblowup import multiindex as mi
 from nashblowup.groebner import Ideal, ideal_equal, normal_form
 from nashblowup.hjac import (
@@ -523,3 +524,64 @@ def test_nash_ideal_generators_are_monic_and_reduced(text, ring, n):
     for g in gens:
         assert g.terms[g.leading_monomial(order)] == 1
         assert normal_form(g, [F], order) == g
+
+
+# -- the collector pause around the minor table ------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Give the collector back in the state the test found it in."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_minor_table_leaves_the_collector_as_it_found_it(collector, enabled):
+    F = P(CUSP, RING2)
+    set_collector(enabled)
+    maximal_minors(F, 2)
+    assert gc.isenabled() == enabled
+    nash_ideal(F, 2)
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("call", [maximal_minors, nash_ideal], ids=["minors", "nash"])
+def test_collector_is_restored_when_the_table_raises(collector, call, enabled):
+    set_collector(enabled)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        call(Polynomial.zero(RING2), 2)
+    assert gc.isenabled() == enabled
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        call(P(CUSP, RING2), 0)
+    assert gc.isenabled() == enabled
+
+
+def test_collector_is_paused_while_the_table_is_built(collector, monkeypatch):
+    # build runs inside maximal_minors, buchberger inside nash_ideal
+    seen = []
+    for name in ("build", "buchberger"):
+        def spy(*args, _name=name, _fn=getattr(hjac, name)):
+            seen.append((_name, gc.isenabled()))
+            return _fn(*args)
+        monkeypatch.setattr(hjac, name, spy)
+    gc.enable()
+    nash_ideal(P(CUSP, RING2), 2)
+    maximal_minors(P(CUSP, RING2), 2)
+    assert seen == [("build", False), ("buchberger", False), ("build", False)]
+    assert gc.isenabled()
+
+
+def test_nash_ideal_is_the_same_with_the_collector_on_or_off(collector):
+    F = P(CUSP, RING2)
+    gc.enable()
+    on = nash_ideal(F, 2).generators
+    gc.disable()
+    assert nash_ideal(F, 2).generators == on
+    assert on

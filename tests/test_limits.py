@@ -174,6 +174,27 @@ def test_limit_ideal_equals_the_graph_ideal_elimination(case):
     assert (result.generators, result.planes) == graph_ideal_limit(F, n, center)
 
 
+@pytest.mark.parametrize("text", CURVES)
+def test_degree_one_leaves_out_the_multiples_of_F(text, monkeypatch):
+    # x_i*F lies in (F), so it is not handed to the basis of m*I + (F), on
+    # the four curves whose basis of (F) + I holds F and on the node
+    F = P(text, RING2)
+    deltas = [delta for _, delta in maximal_minors(F, 2)]
+    calls = []
+    buchberger = limits.buchberger
+    monkeypatch.setattr(limits, "buchberger", lambda gens, *args: (
+        calls.append(list(gens)) or buchberger(gens, *args)))
+    limits._degree_one(F, deltas, tuple(f"u_{k}" for k in range(1, len(deltas) + 1)))
+    order = grevlex()
+
+    def monic(g):
+        return g.scalar_mul(1 / g.terms[g.leading_monomial(order)])
+
+    _, multiples = calls
+    assert multiples[0] == F and len(multiples) > 1
+    assert not {monic(x * F) for x in Polynomial.variables(RING2)} & set(map(monic, multiples))
+
+
 # -- oracles ----------------------------------------------------------------
 
 
