@@ -78,14 +78,14 @@ def test_engine_keeps_no_orphaned_private_helper():
 SWITCHES = {"disable", "enable"}
 
 
-def collector_switches(sources: dict[str, str]) -> list[tuple[str, str | None, str]]:
-    """(module, module-level def or None, name) of every use of gc.disable
-    and gc.enable in the modules of `sources` (module -> text), as an
-    attribute of `gc` or imported from it, sorted."""
+def collector_switches(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, enclosing module-level def or "", name) of every use of
+    gc.disable and gc.enable in the modules of `sources` (module -> text),
+    as an attribute of `gc` or imported from it, sorted."""
     found = set()
     for module, text in sources.items():
         for top in ast.parse(text).body:
-            where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            where = top.name if isinstance(top, ast.FunctionDef) else ""
             for node in ast.walk(top):
                 if (isinstance(node, ast.Attribute) and node.attr in SWITCHES
                         and isinstance(node.value, ast.Name) and node.value.id == "gc"):
@@ -93,7 +93,7 @@ def collector_switches(sources: dict[str, str]) -> list[tuple[str, str | None, s
                 elif isinstance(node, ast.ImportFrom) and node.module == "gc":
                     found.update((module, where, alias.name) for alias in node.names
                                  if alias.name in SWITCHES)
-    return sorted(found, key=lambda f: (f[0], f[1] or "", f[2]))
+    return sorted(found)
 
 
 def test_collector_switches_fixture():
@@ -104,7 +104,7 @@ def test_collector_switches_fixture():
     }
     assert collector_switches(sources) == [
         ("a", "_paused", "disable"), ("a", "_paused", "enable"),
-        ("b", None, "disable"), ("b", None, "enable")]
+        ("b", "", "disable"), ("b", "", "enable")]
 
 
 def test_engine_pauses_the_collector_in_one_helper():
