@@ -2,8 +2,11 @@
 
 The engine works internally with primitive integer-coefficient polynomials
 and pseudo-reduction, which keeps coefficient growth in check; public results
-are monic polynomials over Q.  Pair selection follows the normal strategy
-(smallest lcm first) with Buchberger's coprimality and chain criteria.
+are monic polynomials over Q.  S-pairs are pruned when an element enters the
+basis, by the Gebauer-Moeller update (Gebauer & Moeller, JSC 1988, in the
+form of Becker & Weispfenning's UPDATE), and the queue selects the smallest
+sugar first, then the smallest lcm in the active order (Giovini et al.,
+"One sugar cube, please", ISSAC 1991).
 
 The inner loop runs in C builtins where it can: monomials are exponent
 tuples combined by `map` over `operator` functions, and each call keys the
@@ -19,7 +22,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 from typing import Callable, Iterable, Sequence
 
 from .polynomial import (
@@ -192,10 +195,26 @@ def buchberger(
     is left, and the basis is interreduced before the next generator, so a
     generator already in the ideal costs one reduction.
 
+    Pairs are pruned when an element h enters the basis, never when they
+    are popped.  A queued pair is dropped when lt(h) divides its lcm and
+    neither of its side pairs with h has the same lcm.  Of the new pairs
+    with h, one is kept per lcm, and none whose lcm another new lcm divides
+    properly or whose lcm class holds a coprime pair.  An element whose lt
+    lt(h) divides forms no more pairs.  Every criterion is an instance of
+    Buchberger's chain criterion, so the pruned pairs are never reduced.
+
+    The queue pops the pair of smallest sugar, then of smallest lcm in the
+    active order.  The sugar of a generator is the total degree of its
+    remainder, and that of every basis element is reset to its total degree
+    after each interreduction; an S-pair of f and g has sugar
+    max(sugar f - deg lt f, sugar g - deg lt g) + deg lcm, and its
+    remainder inherits it.
+
     Raises BudgetExceededError when a configured cap is hit; never returns a
-    partial answer.  `max_pairs` counts the S-pairs reduced; `max_reductions`
-    counts the steps of every reduction of an input generator or an
-    S-polynomial, but not of interreduction.  A negative cap is a ValueError.
+    partial answer.  `max_pairs` counts the S-pairs reduced, not those
+    pruned; `max_reductions` counts the steps of every reduction of an input
+    generator or an S-polynomial, but not of interreduction.  A negative cap
+    is a ValueError.
     """
     for name, cap in (("max_pairs", max_pairs), ("max_reductions", max_reductions)):
         if cap is not None and cap < 0:
@@ -205,6 +224,7 @@ def buchberger(
         if not generators:
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = generators[0].ring
+    ring = tuple(ring)
     generators = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
     if order is None:
         order = grevlex()
@@ -218,38 +238,68 @@ def buchberger(
     budget = _Budget(max_reductions)
 
     basis: list[tuple] = []
-    # pair queue, normal strategy: smallest lcm in the active order first
+    sugars: list[int] = []  # the sugar of each basis entry
+    # pair queue: smallest sugar first, then smallest lcm in the active order
     heap: list = []
-    pending: set[tuple[int, int]] = set()
+    live: dict[tuple[int, int], tuple] = {}  # queued pair -> lcm, until pruned
+    redundant: set[int] = set()  # entries whose lt a later lt divides
     counter = itertools.count()
     processed = 0
 
-    def insert(entry: tuple):
+    def insert(entry: tuple, sugar: int):
+        """Add `entry` to the basis and queue its S-pairs, pruned by the
+        Gebauer-Moeller update."""
+        h_lt = entry[1]
+        # a live pair whose lcm lt(h) divides has a chain through h, unless
+        # a side pair with h has the same lcm
+        for (i, j), lcm in list(live.items()):
+            if (all(map(le, h_lt, lcm))
+                    and lcm != tuple(map(max, basis[i][1], h_lt))
+                    and lcm != tuple(map(max, basis[j][1], h_lt))):
+                del live[i, j]
+        # one new pair per lcm; None marks an lcm of a coprime pair, whose
+        # S-polynomial reduces to zero, and so settles its whole class.  An
+        # entry whose lt a later lt divides forms no more pairs: a chain
+        # through the later entry covers them.
+        new_lcms: dict[tuple, int | None] = {}
+        for k, (_, g_lt, _) in enumerate(basis):
+            if k in redundant:
+                continue
+            if all(map(le, h_lt, g_lt)):
+                redundant.add(k)
+            lcm = tuple(map(max, g_lt, h_lt))
+            if lcm == tuple(map(add, g_lt, h_lt)):
+                new_lcms[lcm] = None
+            else:
+                new_lcms.setdefault(lcm, k)
+        new = len(basis)
         basis.append(entry)
-        new = len(basis) - 1
-        for k in range(new):
-            lcm = tuple(map(max, basis[k][1], basis[new][1]))
-            if lcm == tuple(map(add, basis[k][1], basis[new][1])):
-                continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(heap, (keyf(lcm), next(counter), k, new, lcm))
-            pending.add((k, new))
+        sugars.append(sugar)
+        h_rest = sugar - sum(h_lt)
+        # a new lcm properly divided by another has a chain through h; only
+        # a kept lcm of lower degree can divide it properly
+        kept: list[tuple] = []
+        by_degree = sorted((sum(lcm), lcm, k) for lcm, k in new_lcms.items())
+        for degree, group in itertools.groupby(by_degree, key=itemgetter(0)):
+            group = [(lcm, k) for _, lcm, k in group
+                     if not any(all(map(le, m, lcm)) for m in kept)]
+            kept += [lcm for lcm, _ in group]
+            for lcm, k in group:
+                if k is not None:
+                    pair_sugar = max(sugars[k] - sum(basis[k][1]), h_rest) + degree
+                    live[k, new] = lcm
+                    heapq.heappush(heap, (pair_sugar, keyf(lcm), next(counter), k, new))
 
     for entry in entries:
         if basis:
             entry = _entry(_reduce_int(entry[0], basis, keyf, budget)[0], keyf)
         if entry is None:
             continue
-        insert(entry)
+        insert(entry, max(map(sum, entry[0])))
         while heap:
-            _, _, i, j, lcm = heapq.heappop(heap)
-            pending.discard((i, j))
-            # chain criterion: some other lt divides the lcm and both side
-            # pairs are already settled
-            if any(k != i and k != j and all(map(le, basis[k][1], lcm))
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k in range(len(basis))):
-                continue
+            sugar, _, _, i, j = heapq.heappop(heap)
+            if live.pop((i, j), None) is None:
+                continue  # pruned after it was queued
             if max_pairs is not None:
                 processed += 1
                 if processed > max_pairs:
@@ -257,12 +307,12 @@ def buchberger(
             s = _spoly_int(basis[i], basis[j])
             entry = _entry(_reduce_int(s, basis, keyf, budget)[0], keyf)
             if entry is not None:
-                insert(entry)
-        # every S-pair of a reduced basis reduces to zero, so the pairs
-        # settled so far stay settled for the chain criterion
+                insert(entry, sugar)
         basis[:] = _interreduce(basis, keyf)
+        redundant.clear()
+        sugars[:] = [max(map(sum, terms)) for terms, _, _ in basis]
 
-    return [Polynomial(ring, {m: Fraction(v, lc) for m, v in terms.items()})
+    return [Polynomial._from_terms(ring, {m: Fraction(v, lc) for m, v in terms.items()})
             for terms, _, lc in basis]
 
 

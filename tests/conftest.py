@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import collections
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -86,6 +88,47 @@ def s_poly(f, g, order):
     m_f = Polynomial(f.ring, {tuple(a - b for a, b in zip(lcm, lt_f)): 1 / f.terms[lt_f]})
     m_g = Polynomial(g.ring, {tuple(a - b for a, b in zip(lcm, lt_g)): 1 / g.terms[lt_g]})
     return m_f * f - m_g * g
+
+
+def reference_basis(gens, order, ring):
+    """The reduced Groebner basis of `gens` by plain Buchberger over Q: every
+    S-pair reduced, first in first out, with no criteria; then minimised,
+    tail-reduced and made monic, in increasing order of leading monomial.
+    The reference for the pair bookkeeping of `groebner.buchberger`."""
+    key = order.key_func(ring)
+
+    def lead(f):
+        return max(f.terms, key=key)
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def reduce(f, G):
+        remainder = Polynomial.zero(ring)
+        while not f.is_zero():
+            m = lead(f)
+            g = next((g for g in G if divides(lead(g), m)), None)
+            if g is None:
+                term = Polynomial(ring, {m: f.terms[m]})
+                remainder, f = remainder + term, f - term
+            else:
+                f = f - g * Polynomial(ring, {sub(m, lead(g)): f.terms[m] / g.terms[lead(g)]})
+        return remainder
+
+    G = [g for g in gens if not g.is_zero()]
+    queue = collections.deque(itertools.combinations(range(len(G)), 2))
+    while queue:
+        i, j = queue.popleft()
+        r = reduce(s_poly(G[i], G[j], order), G)
+        if not r.is_zero():
+            queue.extend((k, len(G)) for k in range(len(G)))
+            G.append(r)
+    minimal = []
+    for g in sorted(G, key=lambda g: key(lead(g))):
+        if not any(divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    return [r.scalar_mul(1 / r.terms[lead(r)])
+            for r in (reduce(g, [h for h in minimal if h is not g]) for g in minimal)]
 
 
 def graph_ideal_limit(F, n, center):

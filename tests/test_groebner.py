@@ -20,7 +20,7 @@ from nashblowup.groebner import (
 )
 from nashblowup.polynomial import Polynomial, elimination_order, grevlex, grlex, lex
 
-from conftest import P, as_sympy, s_poly
+from conftest import P, as_sympy, reference_basis, s_poly
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -214,6 +214,18 @@ def test_buchberger_scalar_duplicates_are_exact(gens, order, data):
     assert basis == buchberger(gens, ALL_ORDERS[order], RING3)
     # and no generator was dropped that the basis does not generate
     assert all(normal_form(g, basis, ALL_ORDERS[order]).is_zero() for g in gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(polynomials(RING3, 1), min_size=2, max_size=4).filter(
+           lambda gs: any(not g.is_zero() for g in gs)),
+       order=st.sampled_from(sorted(ALL_ORDERS)))
+def test_buchberger_matches_plain_reference(gens, order):
+    # every pair reduced, no criteria: the pruning and the sugar selection
+    # change the work, never the basis, under the elimination order of
+    # limit_ideal too, which sympy cannot check
+    assert buchberger(gens, ALL_ORDERS[order], RING3) == \
+        reference_basis(gens, ALL_ORDERS[order], RING3)
 
 
 def test_buchberger_edge_cases():

@@ -56,6 +56,14 @@ def test_budget_propagates():
         limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=1)
 
 
+def test_pair_budget_pins_the_pruning(cusp_result):
+    # the cusp's elimination reduces exactly 25 S-pairs: a pair criterion
+    # lost from buchberger's update shows here as a budget error
+    assert limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=25) == cusp_result
+    with pytest.raises(BudgetExceededError, match="pair budget"):
+        limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=24)
+
+
 def test_budget_abort_carries_the_minor_table():
     # the budgets cap the elimination over the free u's; the error still
     # carries every minor and every u name
