@@ -200,8 +200,9 @@ def buchberger(
     neither of its side pairs with h has the same lcm.  Of the new pairs
     with h, one is kept per lcm, and none whose lcm another new lcm divides
     properly or whose lcm class holds a coprime pair.  An element whose lt
-    lt(h) divides forms no more pairs.  Every criterion is an instance of
-    Buchberger's chain criterion, so the pruned pairs are never reduced.
+    lt(h) divides forms no more pairs.  Each rule is an instance of
+    Buchberger's coprime or chain criterion, so a pruned pair need not be
+    reduced.
 
     The queue pops the pair of smallest sugar, then of smallest lcm in the
     active order.  The sugar of a generator is the total degree of its

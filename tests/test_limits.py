@@ -57,8 +57,9 @@ def test_budget_propagates():
 
 
 def test_pair_budget_pins_the_pruning(cusp_result):
-    # the cusp's elimination reduces exactly 25 S-pairs: a pair criterion
-    # lost from buchberger's update shows here as a budget error
+    # the cusp's elimination reduces exactly 25 S-pairs: a criterion lost
+    # from buchberger's pair update raises here, and one that prunes more
+    # than it may fails to raise
     assert limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=25) == cusp_result
     with pytest.raises(BudgetExceededError, match="pair budget"):
         limit_ideal(P(CUSP, RING2), 2, (0, 0), max_pairs=24)
