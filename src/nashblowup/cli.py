@@ -9,6 +9,7 @@ golden files.  Exit codes: 0 ok, 2 input error, 3 precondition violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -119,15 +120,19 @@ def _vector(v) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
-def _minor_entries(table) -> list[dict]:
-    """Structured entries of a minor table, numbered u_1, ..."""
-    return [{"index": k, "columns": [j + 1 for j in J], "minor": format_polynomial(d)}
-            for k, (J, d) in enumerate(table, start=1)]
+def _minor_entries(table, names=()) -> list[dict]:
+    """Structured entries of a minor table, numbered 1, 2, ...; with the
+    names of the u variables, each entry also carries its name as "u"."""
+    entries = [{"index": k, "columns": [j + 1 for j in J], "minor": format_polynomial(d)}
+               for k, (J, d) in enumerate(table, start=1)]
+    for entry, u in zip(entries, names):
+        entry["u"] = u
+    return entries
 
 
-def _minor_lines(entries, names=None) -> list[str]:
-    names = names or [f"u_{e['index']}" for e in entries]
-    return [f"{u} {_label(e['columns'])} = {e['minor']}" for u, e in zip(names, entries)]
+def _minor_lines(entries) -> list[str]:
+    return [f"{e.get('u', 'u_' + str(e['index']))} {_label(e['columns'])} = {e['minor']}"
+            for e in entries]
 
 
 def cmd_minors(args) -> int:
@@ -162,21 +167,21 @@ def cmd_limits(args) -> int:
             F, args.n, center, max_pairs=args.max_pairs, max_reductions=args.max_reductions)
     except BudgetExceededError as exc:
         # still emit the minor table computed before the engine gave up
-        entries = _minor_entries(exc.minors)
+        entries = _minor_entries(exc.minors, exc.u_ring)
         _emit(args, {"status": "resource-budget-exceeded",
                      "lambda_size": len(entries),
                      "minors": entries,
                      "error": str(exc)},
-              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries, exc.u_ring),
+              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries),
                        f"resource budget exceeded: {exc}"])
         return EXIT_BUDGET
     oracle = limits.containment_oracle(result)
     gens = [format_polynomial(g) for g in result.generators]
-    entries = _minor_entries(result.minors)
+    entries = _minor_entries(result.minors, result.u_ring)
 
     def lines():
         yield f"lambda size {result.lambda_size}"
-        yield from _minor_lines(entries, result.u_ring)
+        yield from _minor_lines(entries)
         yield f"limit ideal (block order): {len(gens)} generators"
         yield from ("  " + g for g in gens)
         yield f"containment oracle: {'pass' if oracle else 'FAIL'}"
@@ -272,29 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jac", help="print the order-n Jacobian matrix")
     _add_common(p)
-    p.set_defaults(func=cmd_jac)
 
     p = sub.add_parser("singular", help="rank test at a point")
     _add_common(p, point=True)
-    p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("tangent", help="higher tangent space at a non-singular point")
     _add_common(p, point=True)
-    p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("minors", help="all maximal minors of the matrix")
     _add_common(p)
-    p.set_defaults(func=cmd_minors)
 
     p = sub.add_parser("nashideal", help="reduced basis of <F> + (minors), modulo <F>")
     _add_common(p)
-    p.set_defaults(func=cmd_nashideal)
 
     p = sub.add_parser("limits", help="limit ideal of higher tangent spaces at a singular center")
     _add_common(p, point=True)
     p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--max-reductions", type=int, default=None)
-    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("hilbert", help="standard-monomial counts")
     p.add_argument("--monomials", help="comma-separated monomial generators")
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", help="comma-separated variable names")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of an ideal file")
     p.add_argument("file", help="one generator per line in the input grammar")
@@ -311,15 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--max-reductions", type=int, default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.set_defaults(func=cmd_gb)
 
     return top
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so that a rebound cmd_<command> is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -7,18 +7,17 @@ through the origin the initial ideal is generated by one monomial of degree
 e = ord_0 F, the least total degree of the terms of F, so the same count
 has the closed form C(n+s-1, s-1) - C(n-e+s-1, s-1), the second term 0
 for n < e.  At a point p of V(F), e = ord_p F is read from the Taylor
-coefficients of F at p, and the same closed form gives a dimension-based
-non-singularity test equivalent to the rank criterion.
+expansion of F at p in `hjac`, and the same closed form gives a
+dimension-based non-singularity test equivalent to the rank criterion.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from . import multiindex as mi
-from .hjac import PointNotOnHypersurfaceError, _check_input
+from .hjac import PointNotOnHypersurfaceError, _check_input, _taylor_at
 from .polynomial import Polynomial, make_point
 
 
@@ -73,29 +72,17 @@ def local_hilbert(F: Polynomial, n: int) -> int:
     return _graded_count(F.num_vars, n, min(map(sum, F.terms)))
 
 
-def _order_at(F: Polynomial, point) -> int:
-    """ord_p F at a point p with F(p) = 0: the least |gamma| whose Taylor
-    coefficient (d^gamma F / gamma!)(p) = sum c*C(m, gamma)*p^(m-gamma) is
-    nonzero.  The coefficients are read one at a time from degree 1 up, so
-    a non-singular point costs at most the s first partials; the search
-    ends by deg F, where the coefficients are those of F's top-degree terms."""
-    def coefficient(gamma):
-        return sum(c * math.prod(math.comb(a, g) * p**(a - g) for a, g, p in zip(m, gamma, point))
-                   for m, c in F.terms.items() if all(map(operator.ge, m, gamma)))
-
-    return next(e for e in range(1, F.total_degree() + 1)
-                if any(map(coefficient, mi.iter_degree(F.num_vars, e))))
-
-
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
     """Dimension criterion: p is non-singular iff
     dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1, the sum over k = 1..n of the
-    local Hilbert function, a closed form in the order of F at p."""
+    local Hilbert function, a closed form in the order e of F at p: the least
+    degree of F(x + p), expanded to degree n since only min(e, n+1) enters it."""
     _check_input(F, n)
     point = make_point(point)
-    if F.evaluate(point) != 0:
+    coefficients = _taylor_at(F, point, n)
+    if (0,) * len(point) in coefficients:
         raise PointNotOnHypersurfaceError("point is not on the hypersurface")
     s = F.num_vars
-    e = _order_at(F, point)
+    e = min(map(sum, coefficients), default=n + 1)
     total = sum(_graded_count(s, k, e) for k in range(1, n + 1))
     return total == math.comb(n + s - 1, s - 1) - 1

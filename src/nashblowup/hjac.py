@@ -7,6 +7,10 @@ labelled by multi-indices beta with |beta| <= n-1 and N-1 = C(n+s, s) - 1
 columns labelled by alpha with 1 <= |alpha| <= n, both in the canonical
 enumeration order.  The (beta, alpha) entry is d^(alpha-beta)F / (alpha-beta)!
 when alpha >= beta componentwise and 0 otherwise.
+
+So the matrix is a table of Taylor coefficients read through alpha - beta:
+`build` sums them, and `_taylor_at` their values at p, the terms of F(x + p),
+which evaluation, translation to the origin and the order at p all read.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import combinations
 from . import linalg
 from . import multiindex as mi
 from .groebner import Ideal, buchberger, normal_form
-from .polynomial import Polynomial, grevlex, make_point
+from .polynomial import Polynomial, _collect, grevlex, make_point
 
 
 class PointNotOnHypersurfaceError(ValueError):
@@ -34,11 +38,15 @@ class SingularPointError(ValueError):
 
 @dataclass(frozen=True)
 class HigherJacobian:
+    """The order-n matrix as its Taylor table: `taylor` holds d^gamma F / gamma!
+    for |gamma| <= n in the canonical order, then 0, and `cells[i][j]` is the
+    position of entry (i, j) in it.  Labels and cells are `_layout`'s, shared."""
     F: Polynomial
     n: int
     row_labels: tuple[mi.MultiIndex, ...]
     col_labels: tuple[mi.MultiIndex, ...]
-    entries: tuple[tuple[Polynomial, ...], ...]
+    taylor: tuple[Polynomial, ...]
+    cells: tuple[tuple[int, ...], ...]
 
     @property
     def num_rows(self) -> int:
@@ -48,10 +56,15 @@ class HigherJacobian:
     def num_cols(self) -> int:
         return len(self.col_labels)
 
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The M x (N-1) grid of entries, read from the table through the cells."""
+        return tuple(tuple(map(self.taylor.__getitem__, row)) for row in self.cells)
+
     def entry(self, beta: mi.MultiIndex, alpha: mi.MultiIndex) -> Polynomial:
         i = self.row_labels.index(tuple(beta))
         j = self.col_labels.index(tuple(alpha))
-        return self.entries[i][j]
+        return self.taylor[self.cells[i][j]]
 
 
 def shape(s: int, n: int) -> tuple[int, int]:
@@ -69,11 +82,9 @@ def _check_input(F: Polynomial, n: int) -> None:
 
 @functools.cache
 def _layout(s: int, n: int):
-    """What `build` needs that depends only on (s, n), computed once per
-    pair: the row and column labels, the position of each Taylor index gamma
-    with |gamma| <= n, and per cell the position of alpha - beta, or one
-    past the last for a difference with a negative entry (a zero cell).
-    Every call shares the result, so it is only read."""
+    """The labels, the position of each gamma with |gamma| <= n in the Taylor
+    table and the cells of a `HigherJacobian`, the zero's position one past
+    the last; computed once per (s, n) and shared, so only read."""
     rows = tuple(mi.enumerate_indices(s, 0, n - 1))
     cols = tuple(mi.enumerate_indices(s, 1, n))
     position = {gamma: k for k, gamma in enumerate(mi.enumerate_indices(s, 0, n))}
@@ -82,6 +93,17 @@ def _layout(s: int, n: int):
               for alpha in cols)
         for beta in rows)
     return rows, cols, position, cells
+
+
+def _taylor_at(F: Polynomial, point: tuple[Fraction, ...], degree: int | None = None) -> dict:
+    """The nonzero (d^gamma F / gamma!)(p) = sum c*C(m, gamma)*p^(m - gamma)
+    by gamma, only |gamma| <= degree when it is given: the terms of F(x + p),
+    summed over the binomial terms of each c*x^m of F as in `build`."""
+    if len(point) != F.num_vars:
+        raise ValueError("point dimension does not match the ring")
+    return _collect(
+        (gamma, c * binom * math.prod(p**e for p, e in zip(point, rest) if e))
+        for mono, c in F.terms.items() for gamma, rest, binom in mi.binomial_terms(mono, degree))
 
 
 def build(F: Polynomial, n: int) -> HigherJacobian:
@@ -95,27 +117,22 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     for mono, c in F.terms.items():
         for gamma, rest, binom in mi.binomial_terms(mono, n):
             terms[position[gamma]][rest] = c * binom
-    # one Polynomial per Taylor coefficient, shared by every cell with that
-    # alpha - beta: `evaluate_at` and `maximal_minors` deduplicate by id().
-    # The layout is cached per (s, n); its last position is the zero cell.
     zero = Polynomial.zero(F.ring)
-    taylor = [Polynomial._from_terms(F.ring, t) if t else zero for t in terms] + [zero]
-    entries = tuple(tuple(map(taylor.__getitem__, row)) for row in cells)
-    return HigherJacobian(F, n, rows, cols, entries)
+    taylor = tuple(Polynomial._from_terms(F.ring, t) if t else zero for t in terms) + (zero,)
+    return HigherJacobian(F, n, rows, cols, taylor, cells)
 
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
-    """Entrywise evaluation; the point must lie on the hypersurface."""
+    """Entrywise evaluation; the point must lie on the hypersurface.  The
+    table's values at p are the terms of F(x + p) up to degree n, F(p) first."""
     point = make_point(point)
-    value = jac.F.evaluate(point)
-    if value != 0:
-        raise PointNotOnHypersurfaceError(
-            f"F{tuple(map(str, point))} = {value} != 0"
-        )
-    # `build` shares one Polynomial per Taylor coefficient: evaluate each once
-    distinct = {id(e): e for row in jac.entries for e in row}
-    values = {k: e.evaluate(point) for k, e in distinct.items()}
-    return [list(map(values.__getitem__, map(id, row))) for row in jac.entries]
+    values = _taylor_at(jac.F, point, jac.n)
+    value = values.get((0,) * len(point))
+    if value is not None:
+        raise PointNotOnHypersurfaceError(f"F{tuple(map(str, point))} = {value} != 0")
+    zero = Fraction(0)
+    table = [values.get(gamma, zero) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [zero]
+    return [list(map(table.__getitem__, row)) for row in jac.cells]
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:
@@ -178,7 +195,8 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
-    the matrix.  The expansion runs on integers: the entries
+    the matrix; it reads the Taylor table through the cells, converting each
+    coefficient once.  The expansion runs on integers: the entries
     are scaled by the common denominator d of their coefficients, and every
     exponent vector is packed into one int with (M*deg F).bit_length() bits
     per variable, so that a product of M entries, of degree at most
@@ -192,23 +210,19 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     """
     jac = build(F, n)
     M, C = jac.num_rows, jac.num_cols
-    if C < M:
-        raise ValueError("matrix has fewer columns than rows")
     ring = F.ring
     bits = (M * F.total_degree()).bit_length()
     shifts = [bits * i for i in range(len(ring))]
-    # `build` shares one Polynomial per Taylor coefficient: convert each once,
-    # as +entry and -entry over the common denominator d
-    distinct = {id(e): e for row in jac.entries for e in row if e.terms}
-    d = math.lcm(*(c.denominator for e in distinct.values() for c in e.terms.values()))
-    signed = {}
-    for key, e in distinct.items():
+    # each Taylor coefficient as +entry and -entry over the common denominator d
+    d = math.lcm(*(c.denominator for e in jac.taylor for c in e.terms.values()))
+    signed = []
+    for e in jac.taylor:
         plus = [(sum(x << sh for x, sh in zip(m, shifts)), c.numerator * (d // c.denominator))
                 for m, c in e.terms.items()]
-        signed[key] = (plus, [(m, -c) for m, c in plus])
+        signed.append((plus, [(m, -c) for m, c in plus]))
     acc: dict[int, dict[int, int]] = {0: {0: 1}}
-    for row in jac.entries:
-        nonzero = [(j, 1 << j, signed[id(e)]) for j, e in enumerate(row) if e.terms]
+    for row in jac.cells:
+        nonzero = [(j, 1 << j, signed[k]) for j, k in enumerate(row) if signed[k][0]]
         new: dict[int, dict[int, int]] = {}
         for mask, poly in acc.items():
             for j, bit, (plus, minus) in nonzero:

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from . import multiindex as mi
 from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
-from .hjac import PointNotOnHypersurfaceError, SingularPointError, _check_input, maximal_minors
-from .polynomial import Polynomial, _collect, _fresh, grevlex, make_point
+from .hjac import (PointNotOnHypersurfaceError, SingularPointError, _check_input, _taylor_at,
+                   maximal_minors)
+from .polynomial import Polynomial, _fresh, grevlex, make_point
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,7 @@ def translate_to_origin(F: Polynomial, center) -> Polynomial:
     center = make_point(center)
     if len(center) != F.num_vars:
         raise ValueError(f"center has {len(center)} coordinates, expected {F.num_vars}")
-    # F(x + p) = sum over gamma of (d^gamma F / gamma!)(p) x^gamma, summed
-    # from the binomial terms of each monomial
-    return Polynomial._from_terms(F.ring, _collect(
-        (gamma, c * binom * math.prod(p**e for p, e in zip(center, rest) if e))
-        for mono, c in F.terms.items() for gamma, rest, binom in mi.binomial_terms(mono)))
+    return Polynomial._from_terms(F.ring, _taylor_at(F, center))
 
 
 def limit_ideal(
@@ -97,9 +93,9 @@ def limit_ideal(
     I near the center; and each u_J maps into it as sum c_Jf*u_f."""
     _check_input(F, n)  # input errors before the center's precondition
     center = make_point(center)
-    if F.evaluate(center) != 0:
-        raise PointNotOnHypersurfaceError("center is not on the hypersurface")
     shifted = translate_to_origin(F, center)
+    if shifted.constant_term():  # F(center)
+        raise PointNotOnHypersurfaceError("center is not on the hypersurface")
     minors = tuple(maximal_minors(shifted, n))
     # the center is singular iff every maximal minor vanishes there
     if any(delta.constant_term() for _, delta in minors):

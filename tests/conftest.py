@@ -66,6 +66,13 @@ def sub(alpha, beta):
     return tuple(a - b for a, b in zip(alpha, beta))
 
 
+def translate(f, point):
+    """f(x + point), by substituting x_i + p_i for each x_i: the reference
+    for the Taylor expansion at a point, which `limits.translate_to_origin`,
+    `hjac.evaluate_at` and `hilbert.nonsingular_by_dimension` share."""
+    return f.substitute({v: Polynomial.variable(f.ring, v) + p for v, p in zip(f.ring, point)})
+
+
 def is_row_echelon(matrix):
     """True iff each nonzero row's first nonzero entry lies right of the
     previous row's, and zero rows come last."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nashblowup import hjac
+from nashblowup import cli, hjac
 from nashblowup.cli import main
 from nashblowup.parser import parse_polynomial
 from nashblowup.polynomial import Polynomial, lex
@@ -342,3 +342,18 @@ def test_structured_output_is_deterministic(capsys):
                         "-n", "2", "--point", "0,0", "--format", "structured")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# -- the parser ----------------------------------------------------------------
+
+
+def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(capsys, monkeypatch):
+    # the cached parser must not hold the commands: a rebound cmd_<command>,
+    # such as a tracer's wrapper, is the one that runs
+    cli._parser.cache_clear()
+    argv = ("singular", "--poly", "x^3-y^2", "--vars", "x,y", "-n", "1", "--point", "0,0")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "cmd_singular", lambda args: 7)
+    assert run(capsys, *argv)[0] == 7
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

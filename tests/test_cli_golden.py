@@ -85,6 +85,8 @@ CASES = {
     "limits-max-reductions": _limits("x^3-y^2", "--max-reductions", "1", *JSON),
     "limits-u-named-variable": ("limits", "--poly", "u_1^3-y^2", "--vars", "u_1,y", "-n", "1",
                                 "--point", "0,0"),
+    "limits-u-named-variable-structured": ("limits", "--poly", "u_1^3-y^2", "--vars", "u_1,y",
+                                           "-n", "1", "--point", "0,0", *JSON),
     "limits-u-named-variable-budget": ("limits", "--poly", "u_1^3-y^2", "--vars", "u_1,y",
                                        "-n", "1", "--point", "0,0", "--max-pairs", "0"),
     "limits-smooth-center": ("limits", *CUSP, "-n", "2", "--point", "1,1", *JSON),

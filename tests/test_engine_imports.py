@@ -111,3 +111,43 @@ def test_engine_pauses_the_collector_in_one_helper():
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert collector_switches(sources) == [
         ("hjac.py", "_collector_paused", "disable"), ("hjac.py", "_collector_paused", "enable")]
+
+
+def references(sources: dict[str, str], names: set[str]) -> list[tuple[str, str]]:
+    """(module, name), sorted and without repeats, of every reference to one
+    of `names` in the modules of `sources` (module -> text): as a name, as
+    an attribute or as a name imported from a module.  A definition is not
+    a reference."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                used = [node.id]
+            elif isinstance(node, ast.Attribute):
+                used = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                used = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update((module, name) for name in used if name in names)
+    return sorted(found)
+
+
+def test_references_fixture():
+    sources = {
+        "a": "def binomial_terms(alpha):\n    return alpha\n",
+        "b": "from . import multiindex as mi\nterms = mi.binomial_terms((1,))\n",
+        "c": "from .multiindex import binomial_terms as bt\nkey = id(bt)\n",
+        "d": "def f(ident):\n    return ident.idx\n",
+    }
+    assert references(sources, {"binomial_terms", "id"}) == [
+        ("b", "binomial_terms"), ("c", "binomial_terms"), ("c", "id")]
+
+
+def test_engine_expands_taylor_coefficients_in_hjac_alone():
+    # hjac owns the Taylor expansion, symbolic (`build`) and at a point
+    # (`_taylor_at`); its matrix is a table read through cached cells, so
+    # nothing there finds shared entries again by identity
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert references(sources, {"binomial_terms"}) == [("hjac.py", "binomial_terms")]
+    assert references({"hjac.py": sources["hjac.py"]}, {"id"}) == []

@@ -4,15 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from nashblowup import hilbert
 from nashblowup import multiindex as mi
 from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert, \
     nonsingular_by_dimension
 from nashblowup.hjac import PointNotOnHypersurfaceError, is_singular, rank_at, shape
-from nashblowup.limits import translate_to_origin
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P
+from conftest import P, translate
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -222,14 +220,13 @@ def random_points(rng):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_dimension_criterion_matches_the_translate(seed):
-    # the order of F at p read from its Taylor coefficients against the
-    # old route: the local Hilbert function of the whole translate F(x + p)
+    # the order of F at p read from its Taylor expansion against the local
+    # Hilbert function of the whole translate F(x + p), by substitution
     for text, points in random_points(random.Random(seed)).items():
         F = P(text, RING3 if text == SURF else RING2)
         s = F.num_vars
         for p in points:
-            shifted = translate_to_origin(F, p)
-            assert hilbert._order_at(F, p) == min(map(sum, shifted.terms))
+            shifted = translate(F, p)
             for n in range(1, 5):
                 total = sum(local_hilbert(shifted, k) for k in range(1, n + 1))
                 assert nonsingular_by_dimension(F, n, p) == (

@@ -28,7 +28,7 @@ from nashblowup.limits import translate_to_origin
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
-from conftest import P, as_sympy, is_row_echelon, sub, sympy_det, taylor_coeff
+from conftest import P, as_sympy, is_row_echelon, sub, sympy_det, taylor_coeff, translate
 
 RING2 = ("x", "y")
 RING3 = ("x", "y", "z")
@@ -129,20 +129,18 @@ def test_entry_law_full():
 
 @pytest.mark.parametrize("text,ring,n", [(CUSP, RING2, 2), (SURF, RING3, 3), ("x^3", ("x",), 1)])
 def test_build_shares_one_polynomial_per_difference(text, ring, n):
-    # evaluate_at and maximal_minors work once per distinct id() of an entry
+    # the matrix is its Taylor table read through the cells: the table holds
+    # d^gamma F / gamma! for |gamma| <= n in the canonical order and then 0,
+    # and each cell holds the position of alpha - beta, or that of the 0
     F = P(text, ring)
     jac = build(F, n)
-    by_difference = {}
-    for beta, row in zip(jac.row_labels, jac.entries):
-        for alpha, e in zip(jac.col_labels, row):
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            if min(gamma) < 0:
-                assert e.is_zero()
-            else:
-                assert by_difference.setdefault(gamma, e) is e
-    distinct_nonzero = {id(e) for row in jac.entries for e in row if not e.is_zero()}
-    used_nonzero = [gamma for gamma in by_difference if not taylor_coeff(F, gamma).is_zero()]
-    assert len(distinct_nonzero) == len(used_nonzero)
+    gammas = mi.enumerate_indices(len(ring), 0, n)
+    assert jac.taylor == tuple(taylor_coeff(F, g) for g in gammas) + (Polynomial.zero(ring),)
+    for beta, row, cells in zip(jac.row_labels, jac.entries, jac.cells):
+        for alpha, e, k in zip(jac.col_labels, row, cells):
+            gamma = sub(alpha, beta)
+            assert k == (gammas.index(gamma) if min(gamma) >= 0 else len(gammas))
+            assert e is jac.taylor[k]
 
 
 def test_diagonal_law():
@@ -273,8 +271,10 @@ ON_HYPERSURFACE = {
 def test_entries_are_the_coefficients_of_the_translate(text):
     # F(x + p) = sum over gamma of (d^gamma F / gamma!)(p) x^gamma, so entry
     # (beta, alpha) of the evaluated matrix is the coefficient of
-    # x^(alpha - beta) in translate_to_origin(F, p): a check of `build`
-    # that does not go through the Taylor coefficients
+    # x^(alpha - beta) in F(x + p).  evaluate_at and translate_to_origin
+    # share one Taylor expansion, so both are checked against references
+    # that do not use it: the translate by substitution, and the symbolic
+    # entries of `build` evaluated one by one
     ring, param = ON_HYPERSURFACE[text]
     F = P(text, ring)
     rng = random.Random(text)
@@ -288,10 +288,12 @@ def test_entries_are_the_coefficients_of_the_translate(text):
     kinds = {all(d.evaluate(p) == 0 for d in partials) for p in points}
     assert kinds == {True, False}  # singular and non-singular points both
     for p in points:
-        shifted = translate_to_origin(F, p)
+        shifted = translate(F, p)
+        assert translate_to_origin(F, p) == shifted
         for n in (1, 2, 3, 4):
             jac = build(F, n)
             matrix = evaluate_at(jac, p)
+            assert matrix == [[e.evaluate(p) for e in row] for row in jac.entries]
             for beta, row in zip(jac.row_labels, matrix):
                 for alpha, value in zip(jac.col_labels, row):
                     if mi.leq(beta, alpha):
