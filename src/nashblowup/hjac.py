@@ -124,7 +124,7 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
     """Entrywise evaluation; the point must lie on the hypersurface.  The
-    table's values at p are the terms of F(x + p) up to degree n, F(p) first."""
+    table's values at p are the terms of F(x + p) up to degree n, F(p) the constant."""
     point = make_point(point)
     values = _taylor_at(jac.F, point, jac.n)
     value = values.get((0,) * len(point))
