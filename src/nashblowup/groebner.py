@@ -53,13 +53,7 @@ class Ideal:
 
     def __init__(self, ring, generators: Iterable[Polynomial]):
         self.ring = tuple(ring)
-        gens = []
-        for g in generators:
-            if g.ring != self.ring:
-                g = g.to_ring(self.ring)
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(g.to_ring(self.ring) for g in generators if not g.is_zero())
 
 
 # -- internal integer representation ------------------------------------------
@@ -192,8 +186,8 @@ def buchberger(
     first and then lowest total degree first (a stable sort, so ties keep
     their given order).  Each is pseudo-reduced by the basis so far; a
     nonzero remainder joins the basis, its S-pairs are reduced until none
-    is left, and the basis is interreduced before the next generator, so a
-    generator already in the ideal costs one reduction.
+    is left, and `_interreduce` reduces the basis before the next generator,
+    so a generator already in the ideal costs one reduction.
 
     Pairs are pruned when an element h enters the basis, never when they
     are popped.  A queued pair is dropped when lt(h) divides its lcm and
@@ -296,6 +290,7 @@ def buchberger(
             entry = _entry(_reduce_int(entry[0], basis, keyf, budget)[0], keyf)
         if entry is None:
             continue
+        old = len(basis)
         insert(entry, max(map(sum, entry[0])))
         while heap:
             sugar, _, _, i, j = heapq.heappop(heap)
@@ -309,7 +304,7 @@ def buchberger(
             entry = _entry(_reduce_int(s, basis, keyf, budget)[0], keyf)
             if entry is not None:
                 insert(entry, sugar)
-        basis[:] = _interreduce(basis, keyf)
+        basis[:] = _interreduce(basis, old, redundant, keyf)
         redundant.clear()
         sugars[:] = [max(map(sum, terms)) for terms, _, _ in basis]
 
@@ -317,21 +312,22 @@ def buchberger(
             for terms, _, lc in basis]
 
 
-def _interreduce(basis: list[tuple], keyf) -> list[tuple]:
-    """The reduced basis of a Groebner basis of integer entries, primitive
-    with positive leading coefficients, in increasing order of lt."""
-    # minimal: drop entries whose lt is divisible by another surviving lt
-    kept: list[tuple] = []
-    for entry in sorted(basis, key=lambda e: keyf(e[1])):
-        lt = entry[1]
-        if not any(all(map(le, e[1], lt)) for e in kept):
-            kept.append(entry)
-    # tail-reduce each element against the others
-    budget = _Budget(None)
-    reduced = []
-    for i, entry in enumerate(kept):
-        r = _reduce_int(entry[0], kept[:i] + kept[i + 1:], keyf, budget)[0]
-        reduced.append(_entry(r, keyf))
+def _interreduce(basis: list[tuple], old: int, redundant: set[int], keyf) -> list[tuple]:
+    """The reduced basis of `basis`, primitive with positive leading
+    coefficients, in increasing order of lt.  The first `old` entries are
+    reduced and each later one is reduced by those before it, so the entries
+    not in `redundant`, whose lt no later lt divides, are minimal.  One pass
+    reduces each by the reduced ones of smaller lt, the only lts that can
+    divide a term below its own, but keeps an old entry none of whose terms
+    a new lt divides."""
+    new_lts = [basis[k][1] for k in range(old, len(basis)) if k not in redundant]
+    reduced: list[tuple] = []
+    for k in sorted(set(range(len(basis))) - redundant, key=lambda k: keyf(basis[k][1])):
+        terms = basis[k][0]
+        if k < old and not any(all(map(le, lt, m)) for m in terms for lt in new_lts):
+            reduced.append(basis[k])
+        else:
+            reduced.append(_entry(_reduce_int(terms, reduced, keyf, _Budget(None))[0], keyf))
     return reduced
 
 

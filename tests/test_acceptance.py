@@ -11,7 +11,6 @@ fixtures of conftest.py, so the times they print leave that computation out.
 import itertools
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -158,7 +157,7 @@ def surface_reference_basis(ring):
     """The reference 147-element basis for xy - z^4, order 2, at the origin.
 
     It once held u_122^2 too, which lies outside the limit ideal:
-    `limit_ideal` gives this list and not that one (the stretch check of
+    `limit_ideal` gives this list and not that one (the last check of
     criterion 5).  u_122 still vanishes on the zero set, through u_124^2
     and 8*u_113*u_124 + 3*u_122^2."""
     texts = [f"u_{i}" for i in SURFACE_LINEAR]
@@ -205,12 +204,10 @@ def test_criterion_5_surface_oracle():
                 assert restrict_to_plane(g, support) == {}
         # and nothing larger: products of the off-plane coordinates remain
         assert restrict_to_plane(P("u_38*u_83", u_ring), (37, 82))
-
-        if os.environ.get("NASHBLOWUP_STRETCH"):
-            # the full limit ideal, with no budget
-            full = limits.limit_ideal(F, 2, (0, 0, 0))
-            computed = Ideal(full.u_ring, list(full.generators))
-            assert ideal_equal(computed, Ideal(u_ring, gens))
+        # the full limit ideal, with no budget
+        full = limits.limit_ideal(F, 2, (0, 0, 0))
+        computed = Ideal(full.u_ring, list(full.generators))
+        assert ideal_equal(computed, Ideal(u_ring, gens))
 
 
 def test_surface_degree_one_step():

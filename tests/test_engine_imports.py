@@ -1,13 +1,15 @@
 """The engine in src/nashblowup imports nothing outside the standard library,
 sympy and the other test extras serving only as references in the tests,
 it keeps no private helper that nothing calls, and one helper alone pauses
-the cyclic garbage collector."""
+the cyclic garbage collector.  Neither the engine nor the tests read the
+environment, so the suite runs one configuration."""
 
 import ast
 import sys
 from pathlib import Path
 
 ENGINE = Path(__file__).resolve().parents[1] / "src" / "nashblowup"
+TESTS = Path(__file__).resolve().parent
 
 
 def foreign_imports(source: str) -> list[tuple[int, str]]:
@@ -151,3 +153,40 @@ def test_engine_expands_taylor_coefficients_in_hjac_alone():
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert references(sources, {"binomial_terms"}) == [("hjac.py", "binomial_terms")]
     assert references({"hjac.py": sources["hjac.py"]}, {"id"}) == []
+
+
+ENVIRONMENT = {"environ", "getenv"}
+
+
+def environment_reads(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of every use of os.environ and os.getenv in the
+    modules of `sources` (module -> text), as an attribute of `os` or
+    imported from it, sorted."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.add((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.update((module, node.lineno, alias.name) for alias in node.names
+                             if alias.name in ENVIRONMENT)
+    return sorted(found)
+
+
+def test_environment_reads_fixture():
+    sources = {
+        "a": ("import os\nif os.environ.get('SWITCH'):\n    pass\n"
+              "here = os.getcwd()\n"),
+        "b": "from os import getenv as env, path\nflag = env('SWITCH')\n",
+        "c": "import os\ndef f(env):\n    return env.environ, os.getenv\n",
+    }
+    assert environment_reads(sources) == [
+        ("a", 2, "environ"), ("b", 1, "getenv"), ("c", 3, "getenv")]
+
+
+def test_engine_and_tests_read_no_environment():
+    # no switch selects what the engine does or which checks run
+    paths = sorted(ENGINE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    sources = {f"{path.parent.name}/{path.name}": path.read_text() for path in paths}
+    assert environment_reads(sources) == []

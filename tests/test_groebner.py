@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nashblowup import groebner
 from nashblowup.groebner import (
     BudgetExceededError,
     Ideal,
@@ -310,6 +311,45 @@ def test_negative_budget_is_an_input_error():
         with pytest.raises(ValueError, match=r"must be >= 0"):
             eliminate(Ideal(RING2, easy), ("x",), **budget)
     assert buchberger(easy, grevlex(), RING2, max_pairs=0) == easy
+
+
+def _counted_reductions(monkeypatch):
+    """A list that grows by one with every `_reduce_int` call."""
+    calls = []
+    reduce_int = groebner._reduce_int
+
+    def counted(*args):
+        calls.append(None)
+        return reduce_int(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_int", counted)
+    return calls
+
+
+@pytest.mark.parametrize("texts, expected, reductions", [
+    # the new lt y divides a term of the old x - y, which is reduced again
+    (["x - y", "y - z"], ["y - z", "x - z"], 4),
+    # no term of the old x - z holds y, so it is kept as it is
+    (["x - z", "y - z"], ["y - z", "x - z"], 3),
+])
+def test_interreduction_reduces_only_what_a_new_lead_touches(
+        monkeypatch, texts, expected, reductions):
+    gens = [P(t, RING3) for t in texts]
+    calls = _counted_reductions(monkeypatch)
+    basis = buchberger(gens, grevlex(), RING3)
+    assert basis == [P(t, RING3) for t in expected] == reference_basis(gens, grevlex(), RING3)
+    # the second generator, and each new entry once; an old one only if touched
+    assert len(calls) == reductions
+
+
+def test_interreduction_of_independent_leads_is_linear(monkeypatch):
+    # 117 of the 126 u's of the xy - z^4 limit at n=2: each new lt touches
+    # no old entry, so only the generators and the new entries are reduced
+    ring = tuple(f"u_{k}" for k in range(1, 127))
+    gens = [Polynomial.variable(ring, f"u_{k}") for k in range(1, 118)]
+    calls = _counted_reductions(monkeypatch)
+    assert buchberger(gens, grevlex(), ring) == gens[::-1]
+    assert len(calls) <= 2 * 117
 
 
 # -- elimination ----------------------------------------------------------------
