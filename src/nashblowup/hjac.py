@@ -122,22 +122,34 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     return HigherJacobian(F, n, rows, cols, taylor, cells)
 
 
-def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
-    """Entrywise evaluation; the point must lie on the hypersurface.  The
-    table's values at p are the terms of F(x + p) up to degree n, F(p) the constant."""
+def _table_at(jac: HigherJacobian, point) -> list[Fraction]:
+    """The table's values at p, the terms of F(x + p) up to degree n, then 0."""
     point = make_point(point)
     values = _taylor_at(jac.F, point, jac.n)
     value = values.get((0,) * len(point))
     if value is not None:
         raise PointNotOnHypersurfaceError(f"F{tuple(map(str, point))} = {value} != 0")
     zero = Fraction(0)
-    table = [values.get(gamma, zero) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [zero]
+    return [values.get(gamma, zero) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [zero]
+
+
+def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
+    """Entrywise evaluation; the point must lie on the hypersurface."""
+    table = _table_at(jac, point)
+    return [list(map(table.__getitem__, row)) for row in jac.cells]
+
+
+def _integer_rows_at(jac: HigherJacobian, point) -> list[list[int]]:
+    """`evaluate_at`'s rows times d, the lcm of the table's denominators: same rank and kernel."""
+    table = _table_at(jac, point)
+    d = math.lcm(*(v.denominator for v in table))
+    table = [v.numerator * (d // v.denominator) for v in table]
     return [list(map(table.__getitem__, row)) for row in jac.cells]
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:
     """Exact rank over Q of the evaluated order-n matrix."""
-    return linalg.rank(evaluate_at(build(F, n), point))
+    return linalg.rank(_integer_rows_at(build(F, n), point))
 
 
 def is_singular(F: Polynomial, n: int, point) -> bool:
@@ -148,8 +160,8 @@ def is_singular(F: Polynomial, n: int, point) -> bool:
 
 def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
     """Kernel basis of the evaluated matrix at a non-singular point."""
-    matrix = evaluate_at(build(F, n), point)
-    basis = linalg.kernel_basis(matrix, width=len(matrix[0]))
+    rows = _integer_rows_at(build(F, n), point)
+    basis = linalg.kernel_basis(rows, width=len(rows[0]))
     M, C = shape(F.num_vars, n)
     if C - len(basis) < M:
         raise SingularPointError(

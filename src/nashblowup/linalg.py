@@ -1,12 +1,15 @@
 """Exact linear algebra over Q: rank, RREF and kernels, all read off one
 integer Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
-denominators, which makes each row it updates primitive."""
+denominators (a row of ints, as `hjac` hands it, is taken as it is), which
+makes each row it updates primitive.  Only exact rational scalars enter."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from .polynomial import _coerce_scalar
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -46,18 +49,20 @@ def _eliminate(work: list[list[int]]) -> list[int]:
 
 
 def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators.  The numerator and
-    denominator of an int or a Fraction are read as they are; any other
-    exact scalar goes through Fraction first."""
+    """Each row times the lcm of its denominators, a row of ints as it is
+    (`_eliminate` never writes into a row); ragged rows and inexact scalars raise."""
+    width = len(rows[0]) if rows else 0
     work = []
     for row in rows:
-        ratios = [(x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
-                  for x in row]
-        denom = lcm(*[d for _, d in ratios])
-        if denom == 1:
-            work.append([n for n, _ in ratios])
-        else:
-            work.append([n * (denom // d) for n, d in ratios])
+        if len(row) != width:
+            raise ValueError(f"rows of widths {width} and {len(row)} in one matrix")
+        types = {*map(type, row)}
+        if not types <= {int}:
+            exact = row if types <= {int, Fraction} else map(_coerce_scalar, row)
+            ratios = [x.as_integer_ratio() for x in exact]
+            denom = lcm(*[d for _, d in ratios])
+            row = [n for n, _ in ratios] if denom == 1 else [n * (denom // d) for n, d in ratios]
+        work.append(row)
     return work
 
 
@@ -81,21 +86,24 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:
-    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
+    """Basis of the right kernel {v : A v = 0}, one vector per free column f,
+    read off the eliminated rows: v_f = 1 and v_p = -a_rf / a_rp at pivot p of row r."""
     if not rows:
         if width is None:
             raise ValueError("kernel of an empty matrix needs an explicit width")
         return [[Fraction(i == j) for j in range(width)] for i in range(width)]
-    n = len(rows[0])
-    R, pivots = rref(rows)
-    free = [j for j in range(n) if j not in pivots]
-    zero = Fraction(0)
+    work = _cleared(rows)
+    n = len(work[0])
+    if width is not None and width != n:
+        raise ValueError(f"width {width} given for rows of width {n}")
+    pivots = _eliminate(work)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
+    for f in [j for j in range(n) if j not in pivots]:
         v = [zero] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if R[r][f]:
-                v[p] = -R[r][f]
+        v[f] = one
+        for row, p in zip(work, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis

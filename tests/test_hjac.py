@@ -302,6 +302,43 @@ def test_entries_are_the_coefficients_of_the_translate(text):
                         assert value == 0
 
 
+# (t, s) with 4- to 6-digit numerators and denominators, for ON_HYPERSURFACE
+LARGE_DENOMINATORS = [
+    (Fraction(-31415, 2718), Fraction(100003, 99991)),
+    (Fraction(65537, 1024), Fraction(-7, 123457)),
+    (Fraction(1009, 271828), Fraction(-4321, 8765)),
+]
+
+
+@pytest.mark.parametrize("text", sorted(ON_HYPERSURFACE))
+def test_integer_rows_give_the_rank_and_kernel_of_the_fraction_matrix(text):
+    # rank_at and tangent_space eliminate evaluate_at's rows times d, the lcm
+    # of their denominators (every Taylor value of degree 1..n sits in row 0);
+    # linalg on the Fraction matrix is the reference
+    ring, param = ON_HYPERSURFACE[text]
+    F = P(text, ring)
+    points = [(Fraction(0),) * len(ring)] + [param(t, s) for t, s in LARGE_DENOMINATORS]
+    singular = set()
+    for p in points:
+        for n in (1, 2, 3, 4):
+            jac = build(F, n)
+            reference = evaluate_at(jac, p)
+            d = math.lcm(*(x.denominator for row in reference for x in row))
+            rows = hjac._integer_rows_at(jac, p)
+            assert rows == [[d * x for x in row] for row in reference]
+            assert {type(x) for row in rows for x in row} == {int}
+            assert rank_at(F, n, p) == linalg.rank(reference)
+            M, C = shape(len(ring), n)
+            kernel = linalg.kernel_basis(reference, width=C)
+            singular.add(len(kernel) > C - M)
+            if len(kernel) > C - M:
+                with pytest.raises(SingularPointError):
+                    tangent_space(F, n, p)
+            else:
+                assert tangent_space(F, n, p) == kernel
+    assert singular == {True, False}
+
+
 def test_echelon_property():
     # when dF/dx_1 (first variable) does not vanish at p, the evaluated
     # matrix is already in row echelon form with that partial as every pivot

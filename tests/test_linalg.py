@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,45 @@ def test_kernel_empty_matrix_needs_width():
         linalg.kernel_basis([])
     basis = linalg.kernel_basis([], width=3)
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: linalg.rank([[0.1, 0.2]]),
+    lambda: linalg.rref([[0.5, 1]]),
+    lambda: linalg.kernel_basis([[1, Fraction(1, 2)], [2, 1.0]]),
+    lambda: linalg.rank([[1, Decimal("0.5")]]),
+    lambda: linalg.rank([["1/2", 1]]),
+])
+def test_inexact_scalars_are_refused(call):
+    with pytest.raises(TypeError, match="not an exact rational scalar"):
+        call()
+
+
+def test_exact_scalars_of_every_kind_are_taken():
+    assert linalg.rank([[True, 2], [Fraction(1, 2), 1]]) == 1
+    assert linalg.rref([[2, 4], [1, Fraction(3)]])[0] == [[1, 0], [0, 1]]
+
+
+def test_ragged_rows_are_refused():
+    with pytest.raises(ValueError, match="widths 2 and 1"):
+        linalg.rank([[1, 2], [3]])
+    with pytest.raises(ValueError, match="widths 1 and 3"):
+        linalg.rref([[Fraction(1, 2)], [1, 2, 3]])
+
+
+def test_kernel_width_must_match_the_rows():
+    with pytest.raises(ValueError, match="width 5 given for rows of width 2"):
+        linalg.kernel_basis([[1, 2]], width=5)
+    assert linalg.kernel_basis([[1, 2]], width=2) == [[-2, 1]]
+
+
+def test_integer_rows_are_left_as_they_are():
+    # a row of ints is eliminated as given; the caller's rows are not written into
+    rows = [[2, 4, 6], [1, 2, 4], [0, 0, 0]]
+    copy = [list(row) for row in rows]
+    assert linalg.rref(rows) == ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [0, 2])
+    assert linalg.kernel_basis(rows) == [[-2, 1, 0]]
+    assert linalg.rank(rows) == 2 and rows == copy
 
 
 def matrix_strategy():
