@@ -302,7 +302,7 @@ def test_entries_are_the_coefficients_of_the_translate(text):
                         assert value == 0
 
 
-# (t, s) with 4- to 6-digit numerators and denominators, for ON_HYPERSURFACE
+# (t, s) with 4- to 6-digit denominators and mixed numerators, for ON_HYPERSURFACE
 LARGE_DENOMINATORS = [
     (Fraction(-31415, 2718), Fraction(100003, 99991)),
     (Fraction(65537, 1024), Fraction(-7, 123457)),
