@@ -148,7 +148,8 @@ def _integer_rows_at(jac: HigherJacobian, point) -> list[list[int]]:
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:
-    """Exact rank over Q of the evaluated order-n matrix."""
+    """Exact rank over Q of the evaluated order-n matrix: the number of
+    pivots of its integer row echelon form, with no back-substitution."""
     return linalg.rank(_integer_rows_at(build(F, n), point))
 
 
@@ -159,7 +160,9 @@ def is_singular(F: Polynomial, n: int, point) -> bool:
 
 
 def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
-    """Kernel basis of the evaluated matrix at a non-singular point."""
+    """Kernel basis of the evaluated matrix at a non-singular point, read
+    off its integer echelon form once back-substitution has cleared each
+    pivot column above its pivot."""
     rows = _integer_rows_at(build(F, n), point)
     basis = linalg.kernel_basis(rows, width=len(rows[0]))
     M, C = shape(F.num_vars, n)

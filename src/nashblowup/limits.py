@@ -297,6 +297,7 @@ def describe_planes(generators):
                     work.append((gens[1:], rows + [row], depth + 1))
 
     # keep the subspaces maximal under inclusion; a key is a canonical
-    # basis, so two different keys span different subspaces
+    # basis, so two different keys span different subspaces, and it has no
+    # zero row, so its rank is its length
     return tuple(p for p in found if not any(
-        q != p and linalg.rank(q) == linalg.rank(q + p) for q in found))
+        q != p and len(q) == linalg.rank(q + p) for q in found))

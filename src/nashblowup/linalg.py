@@ -1,7 +1,10 @@
-"""Exact linear algebra over Q: rank, RREF and kernels, all read off one
-integer Gauss-Jordan elimination (`_eliminate`) of the rows cleared of
-denominators (a row of ints, as `hjac` hands it, is taken as it is), which
-makes each row it updates primitive.  Only exact rational scalars enter."""
+"""Exact linear algebra over Q: rank, RREF and kernels, read off an integer
+elimination of the rows cleared of denominators (a row of ints, as `hjac`
+hands it, is taken as it is).  Forward elimination (`_eliminate`) brings
+the rows to row echelon form, which is all `rank` needs; `rref` and
+`kernel_basis` then clear each pivot column above its pivot in one
+back-substitution pass (`_back_substitute`).  Both steps make each row they
+update primitive.  Only exact rational scalars enter."""
 
 from __future__ import annotations
 
@@ -15,14 +18,27 @@ Vector = list[Fraction]
 Matrix = list[list[Fraction]]
 
 
-def _eliminate(work: list[list[int]]) -> list[int]:
-    """Gauss-Jordan elimination of integer rows in place.  At each pivot p
-    of the pivot row `top`, every other row whose entry f in the pivot
-    column is nonzero becomes (p/g)*row - (f/g)*top, g = gcd(p, f), divided
-    by the gcd of its entries; a row with f = 0 is left as it is.
+def _clear_column(work: list[list[int]], rows: range, top: list[int], col: int) -> None:
+    """Clear column col of work[i], i in rows, against the pivot row top:
+    a row whose entry f there is nonzero becomes (p/g)*row - (f/g)*top,
+    p = top[col] and g = gcd(p, f), divided by the gcd of its entries; a
+    row with f = 0 is left as it is."""
+    p = top[col]
+    for i in rows:
+        row = work[i]
+        f = row[col]
+        if f:
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [a * x - b * y for x, y in zip(row, top)]
+            g = gcd(*row)
+            work[i] = [x // g for x in row] if g > 1 else row
 
-    Pivot columns end cleared above and below, and rows past the rank end
-    zero.  Returns the pivot columns."""
+
+def _eliminate(work: list[list[int]]) -> list[int]:
+    """Forward elimination of integer rows in place, to row echelon form:
+    each pivot column is cleared below its pivot only.  Rows past the rank
+    end zero.  Returns the pivot columns."""
     m = len(work)
     pivots: list[int] = []
     for col in range(len(work[0]) if work else 0):
@@ -34,23 +50,23 @@ def _eliminate(work: list[list[int]]) -> list[int]:
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        p = top[col]
-        for i, row in enumerate(work):
-            f = row[col]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
+        _clear_column(work, range(r + 1, m), work[r], col)
         pivots.append(col)
     return pivots
 
 
+def _back_substitute(work: list[list[int]], pivots: list[int]) -> None:
+    """From the last pivot to the first, clear each pivot column in the
+    rows above its pivot, taking `_eliminate`'s echelon rows to a reduced
+    form: each pivot column is then zero but for its pivot."""
+    for r in reversed(range(len(pivots))):
+        _clear_column(work, range(r), work[r], pivots[r])
+
+
 def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
     """Each row times the lcm of its denominators, a row of ints as it is
-    (`_eliminate` never writes into a row); ragged rows and inexact scalars raise."""
+    (`_clear_column` never writes into a row, it rebinds it); ragged rows
+    and inexact scalars raise."""
     width = len(rows[0]) if rows else 0
     work = []
     for row in rows:
@@ -67,7 +83,7 @@ def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank: the number of pivots."""
+    """Exact rank: the number of pivots of the echelon form."""
     return len(_eliminate(_cleared(rows)))
 
 
@@ -75,6 +91,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns, exact over Q."""
     work = _cleared(rows)
     pivots = _eliminate(work)
+    _back_substitute(work, pivots)
     # each pivot row divided by its pivot, one shared zero for the zero entries
     zero = Fraction(0)
     R = []
@@ -87,7 +104,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:
     """Basis of the right kernel {v : A v = 0}, one vector per free column f,
-    read off the eliminated rows: v_f = 1 and v_p = -a_rf / a_rp at pivot p of row r."""
+    read off the reduced rows: v_f = 1 and v_p = -a_rf / a_rp at pivot p of row r."""
     if not rows:
         if width is None:
             raise ValueError("kernel of an empty matrix needs an explicit width")
@@ -97,9 +114,11 @@ def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vec
     if width is not None and width != n:
         raise ValueError(f"width {width} given for rows of width {n}")
     pivots = _eliminate(work)
+    _back_substitute(work, pivots)
     zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in [j for j in range(n) if j not in pivots]:
+    pivot_set = set(pivots)
+    for f in [j for j in range(n) if j not in pivot_set]:
         v = [zero] * n
         v[f] = one
         for row, p in zip(work, pivots):

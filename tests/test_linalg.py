@@ -170,6 +170,26 @@ def test_match_sympy_on_order_four_jacobians(point):
     assert linalg.rank(rows) == (10 if point == (0, 0, 0) else 20)
 
 
+def test_rank_needs_no_back_substitution(monkeypatch):
+    # rank reads the pivots off the echelon form; only rref and
+    # kernel_basis clear the pivot columns above their pivots
+    F = parse_polynomial("x*y - z^4", ("x", "y", "z"))
+    jac = hjac.build(F, 4)
+    origin, point = workload_points()[:2]
+
+    def refuse(work, pivots):
+        raise AssertionError("back-substitution")
+
+    monkeypatch.setattr(linalg, "_back_substitute", refuse)
+    rows = hjac.evaluate_at(jac, point)
+    assert linalg.rank(rows) == 20
+    assert linalg.rank(hjac.evaluate_at(jac, origin)) == 10
+    with pytest.raises(AssertionError, match="back-substitution"):
+        linalg.rref(rows)
+    with pytest.raises(AssertionError, match="back-substitution"):
+        linalg.kernel_basis(rows)
+
+
 @pytest.mark.parametrize("k", [0, 1, 4, 9, 13, 19, 20])
 def test_match_sympy_on_wide_low_rank_products(k):
     # 20 x 34 products of sparse 20 x k and k x 34 factors: rank at most k,
