@@ -28,7 +28,7 @@ from nashblowup.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-FILES = {"gens.txt": "x^2 - y\nx*y - 1\n", "empty.txt": "\n"}
+FILES = {"gens.txt": "x^2 - y\nx*y - 1\n", "empty.txt": "\n", "bad.txt": "x^2 - y\nx*(y\n"}
 
 CUSP = ("--poly", "x^3-y^2", "--vars", "x,y")
 SURFACE = ("--poly", "x*y-z^4", "--vars", "x,y,z")
@@ -99,6 +99,7 @@ CASES = {
     "hilbert-poly": ("hilbert", *CUSP, "-n", "2", *JSON),
     "hilbert-poly-text": ("hilbert", *CUSP, "-n", "2"),
     "hilbert-both-sources": ("hilbert", "--monomials", "x^2", *CUSP, "-n", "2", *JSON),
+    "hilbert-monomials-parse-error": ("hilbert", "--monomials", "x^,y", "-n", "2", *JSON),
     "hilbert-no-source": ("hilbert", "-n", "2", *JSON),
     "hilbert-poly-no-vars": ("hilbert", "--poly", "x^3-y^2", "-n", "2", *JSON),
     "hilbert-not-monomial": ("hilbert", "--monomials", "x+y", "--vars", "x,y",
@@ -115,6 +116,7 @@ CASES = {
     "gb-grlex": ("gb", "gens.txt", "--vars", "x,y", "--order", "grlex", *JSON),
     "gb-missing-file": ("gb", "missing.txt", "--vars", "x,y", *JSON),
     "gb-empty-file": ("gb", "empty.txt", "--vars", "x,y", *JSON),
+    "gb-parse-error": ("gb", "bad.txt", "--vars", "x,y", *JSON),
     "gb-max-pairs": ("gb", "gens.txt", "--vars", "x,y", "--order", "lex",
                      "--max-pairs", "0", *JSON),
 }

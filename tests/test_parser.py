@@ -85,6 +85,41 @@ def test_parse_error_has_position():
     assert 0 <= exc.value.position <= len("x + w")
 
 
+PARSE_ERRORS = {
+    "unexpected character": ("x + y $", 6, "unexpected character '$'", ""),
+    "trailing input": ("x + y)", 5, "trailing input ')'", "end of input"),
+    "malformed exponent": ("x^y", 2, "malformed exponent 'y'", "a non-negative integer"),
+    "malformed exponent at end": ("x^", 2, "malformed exponent ''", "a non-negative integer"),
+    "malformed denominator": ("1/x", 2, "malformed denominator 'x'", "a positive integer"),
+    "zero denominator": ("1/0", 2, "zero denominator", ""),
+    "unknown variable": ("x + w", 4, "unknown variable 'w'", "one of x, y"),
+    "unbalanced parentheses": ("(x + y", 6, "unbalanced parentheses", "')'"),
+    "unexpected token": ("x + *y", 4, "unexpected token '*'", "a number, variable, or '('"),
+    "unexpected end of input": ("x + ", 4, "unexpected end of input",
+                                "a number, variable, or '('"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARSE_ERRORS))
+def test_parse_error_table(kind):
+    text, position, message, expected = PARSE_ERRORS[kind]
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, RING2)
+    assert (exc.value.message, exc.value.position, exc.value.expected) == (
+        message, position, expected)
+
+
+# Digits stop at 2 and strings at 9 characters, so that the largest power
+# drawn, (x+y)^222, expands in milliseconds.
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="xyw_012 ()+-*/^", max_size=9))
+def test_any_string_parses_or_raises_parse_error(text):
+    try:
+        parse_polynomial(text, RING2)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
 def test_format_fixtures():
     assert format_polynomial(Polynomial.zero(RING2)) == "0"
     f = Polynomial(RING2, {(2, 0): 3, (0, 1): -2})
