@@ -18,7 +18,7 @@ from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, buchberger
 from .parser import NAME, ParseError, format_polynomial, parse_polynomial
-from .polynomial import MonomialOrder, Polynomial
+from .polynomial import MonomialOrder
 
 SCHEMA_VERSION = 1
 
@@ -56,13 +56,6 @@ def _parse_point(text: str, s: int) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
-def _parse_poly(text: str, names: tuple[str, ...]) -> Polynomial:
-    try:
-        return parse_polynomial(text, names)
-    except ParseError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _emit(args, payload: dict, text_lines) -> None:
     """Print the payload as JSON, or the lines that `text_lines()` builds;
     text is built only when it is printed."""
@@ -80,7 +73,7 @@ def _label(alpha) -> str:
 
 def cmd_jac(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     jac = hjac.build(F, args.n)
     rows = [[format_polynomial(e) for e in row] for row in jac.entries]
     _emit(args, {"n": args.n,
@@ -95,7 +88,7 @@ def cmd_jac(args) -> int:
 
 def cmd_singular(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     point = _parse_point(args.point, len(names))
     rank = hjac.rank_at(F, args.n, point)
     M, _ = hjac.shape(len(names), args.n)
@@ -107,7 +100,7 @@ def cmd_singular(args) -> int:
 
 def cmd_tangent(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     point = _parse_point(args.point, len(names))
     basis = hjac.tangent_space(F, args.n, point)
     _emit(args, {"dim": len(basis),
@@ -137,7 +130,7 @@ def _minor_lines(entries) -> list[str]:
 
 def cmd_minors(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     table = hjac.maximal_minors(F, args.n)
     entries = _minor_entries(table)
     _emit(args, {"count": len(table), "minors": entries},
@@ -147,7 +140,7 @@ def cmd_minors(args) -> int:
 
 def cmd_nashideal(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     # the ideal first: its own minor table is freed before this one is built
     ideal = hjac.nash_ideal(F, args.n)
     table = hjac.maximal_minors(F, args.n)
@@ -160,7 +153,7 @@ def cmd_nashideal(args) -> int:
 
 def cmd_limits(args) -> int:
     names = _parse_vars(args.vars)
-    F = _parse_poly(args.poly, names)
+    F = parse_polynomial(args.poly, names)
     center = _parse_point(args.point, len(names))
     try:
         result = limits.limit_ideal(
@@ -222,7 +215,7 @@ def cmd_hilbert(args) -> int:
                 raise InputError("cannot infer variables from --monomials")
         exps = []
         for chunk in args.monomials.split(","):
-            p = _parse_poly(chunk.strip(), names)
+            p = parse_polynomial(chunk.strip(), names)
             if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
                 raise InputError(f"not a monomial: {chunk.strip()!r}")
             exps.append(next(iter(p.terms)))
@@ -232,7 +225,7 @@ def cmd_hilbert(args) -> int:
         names = _parse_vars(args.vars) if args.vars else None
         if names is None:
             raise InputError("--poly needs --vars")
-        F = _parse_poly(args.poly, names)
+        F = parse_polynomial(args.poly, names)
         value = hilbert_mod.local_hilbert(F, args.n)
     _emit(args, {"n": args.n, "dim": value}, lambda: [str(value)])
     return EXIT_OK
@@ -247,7 +240,7 @@ def cmd_gb(args) -> int:
         raise InputError(str(exc)) from None
     if not lines_in:
         raise InputError(f"no generators in {args.file}")
-    gens = [_parse_poly(ln, names) for ln in lines_in]
+    gens = [parse_polynomial(ln, names) for ln in lines_in]
     order = MonomialOrder(args.order)
     basis = buchberger(gens, order, max_pairs=args.max_pairs,
                        max_reductions=args.max_reductions)
@@ -321,7 +314,7 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so that a rebound cmd_<command> is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except InputError as exc:
+    except (InputError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (hjac.PointNotOnHypersurfaceError, hjac.SingularPointError) as exc:

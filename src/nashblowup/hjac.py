@@ -128,7 +128,7 @@ def _table_at(jac: HigherJacobian, point) -> list[Fraction]:
     values = _taylor_at(jac.F, point, jac.n)
     value = values.get((0,) * len(point))
     if value is not None:
-        raise PointNotOnHypersurfaceError(f"F{tuple(map(str, point))} = {value} != 0")
+        raise PointNotOnHypersurfaceError(f"F({', '.join(map(str, point))}) = {value} != 0")
     zero = Fraction(0)
     return [values.get(gamma, zero) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [zero]
 

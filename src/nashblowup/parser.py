@@ -8,7 +8,12 @@ Grammar (whitespace insignificant):
     base     := rational | variable | '(' expr ')'
     rational := integer ('/' positive-integer)?
 
-Products require an explicit '*'; coefficients are exact rationals.
+Products require an explicit '*'; coefficients are exact rationals.  The
+text becomes one token list, closed by an eof token, which one recursive
+descent reads with one cursor.  A ParseError, with position and expected
+text, names an unexpected character, trailing input, a malformed exponent,
+a malformed or zero denominator, an unknown variable, unbalanced
+parentheses, an unexpected token or an unexpected end of input.
 """
 
 from __future__ import annotations
@@ -33,122 +38,20 @@ class ParseError(ValueError):
 
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^]))")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^])|(\S))")
+_KINDS = (None, "int", "name", "op", "bad")  # by the number of the token's group
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
-        self._tokenize()
-        self.i = 0
-
-    def _tokenize(self):
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                bad = len(text) - len(stripped)
-                raise ParseError(bad, f"unexpected character {text[bad]!r}")
-            if m.group(1) is not None:
-                self.tokens.append(("int", m.group(1), m.start(1)))
-            elif m.group(2) is not None:
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
-            pos = m.end()
-
-    def peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, text: str, ring: tuple[str, ...]):
-        self.lexer = _Lexer(text)
-        self.ring = ring
-
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        kind, value, pos = self.lexer.peek()
-        if kind != "eof":
-            raise ParseError(pos, f"trailing input {value!r}", "end of input")
-        return poly
-
-    def expr(self) -> Polynomial:
-        poly = self.term()
-        while True:
-            kind, value, _ = self.lexer.peek()
-            if kind == "op" and value in "+-":
-                self.lexer.next()
-                rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
-            else:
-                return poly
-
-    def term(self) -> Polynomial:
-        negate = False
-        kind, value, _ = self.lexer.peek()
-        if kind == "op" and value == "-":
-            self.lexer.next()
-            negate = True
-        poly = self.factor()
-        while True:
-            kind, value, _ = self.lexer.peek()
-            if kind == "op" and value == "*":
-                self.lexer.next()
-                poly = poly * self.factor()
-            else:
-                break
-        return -poly if negate else poly
-
-    def factor(self) -> Polynomial:
-        poly = self.base()
-        kind, value, _ = self.lexer.peek()
-        if kind == "op" and value == "^":
-            self.lexer.next()
-            kind, value, pos = self.lexer.next()
-            if kind != "int":
-                raise ParseError(pos, f"malformed exponent {value!r}", "a non-negative integer")
-            poly = poly ** int(value)
-        return poly
-
-    def base(self) -> Polynomial:
-        kind, value, pos = self.lexer.next()
-        if kind == "int":
-            numerator = int(value)
-            k2, v2, _ = self.lexer.peek()
-            if k2 == "op" and v2 == "/":
-                self.lexer.next()
-                k3, v3, p3 = self.lexer.next()
-                if k3 != "int":
-                    raise ParseError(p3, f"malformed denominator {v3!r}", "a positive integer")
-                if int(v3) == 0:
-                    raise ParseError(p3, "zero denominator")
-                return Polynomial.constant(self.ring, Fraction(numerator, int(v3)))
-            return Polynomial.constant(self.ring, numerator)
-        if kind == "name":
-            if value not in self.ring:
-                raise ParseError(pos, f"unknown variable {value!r}", f"one of {', '.join(self.ring)}")
-            return Polynomial.variable(self.ring, value)
-        if kind == "op" and value == "(":
-            poly = self.expr()
-            k2, v2, p2 = self.lexer.next()
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError(p2, "unbalanced parentheses", "')'")
-            return poly
-        raise ParseError(pos, f"unexpected token {value!r}" if value else "unexpected end of input",
-                         "a number, variable, or '('")
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, position) tokens of `text`, then ("eof", "", len(text))."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = _KINDS[m.lastindex], m.group(m.lastindex), m.start(m.lastindex)
+        if kind == "bad":
+            raise ParseError(pos, f"unexpected character {value!r}")
+        tokens.append((kind, value, pos))
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 def parse_polynomial(text: str, ring) -> Polynomial:
@@ -156,7 +59,71 @@ def parse_polynomial(text: str, ring) -> Polynomial:
     ring = tuple(ring)
     if not ring:
         raise ValueError("ring must be nonempty")
-    return _Parser(text, ring).parse()
+    tokens = _tokens(text)
+    i = 0  # the cursor; every error is raised before it passes eof
+
+    def take():
+        nonlocal i
+        i += 1
+        return tokens[i - 1]
+
+    def accept(ops: str) -> str:
+        """The next token's value, consumed, if it is one of the operators `ops`; else ''."""
+        kind, value, _ = tokens[i]
+        return take()[1] if kind == "op" and value in ops else ""
+
+    def expr() -> Polynomial:
+        poly = term()
+        while op := accept("+-"):
+            rhs = term()
+            poly = poly + rhs if op == "+" else poly - rhs
+        return poly
+
+    def term() -> Polynomial:
+        negate = accept("-")
+        poly = factor()
+        while accept("*"):
+            poly = poly * factor()
+        return -poly if negate else poly
+
+    def factor() -> Polynomial:
+        poly = base()
+        if accept("^"):
+            kind, value, pos = take()
+            if kind != "int":
+                raise ParseError(pos, f"malformed exponent {value!r}", "a non-negative integer")
+            poly = poly ** int(value)
+        return poly
+
+    def base() -> Polynomial:
+        kind, value, pos = take()
+        if kind == "int":
+            numerator = int(value)
+            if not accept("/"):
+                return Polynomial.constant(ring, numerator)
+            kind, den, pos = take()
+            if kind != "int":
+                raise ParseError(pos, f"malformed denominator {den!r}", "a positive integer")
+            if int(den) == 0:
+                raise ParseError(pos, "zero denominator")
+            return Polynomial.constant(ring, Fraction(numerator, int(den)))
+        if kind == "name":
+            if value not in ring:
+                raise ParseError(pos, f"unknown variable {value!r}", f"one of {', '.join(ring)}")
+            return Polynomial.variable(ring, value)
+        if kind == "op" and value == "(":
+            poly = expr()
+            if not accept(")"):
+                raise ParseError(tokens[i][2], "unbalanced parentheses", "')'")
+            return poly
+        raise ParseError(pos, f"unexpected token {value!r}" if value else "unexpected end of input",
+                         "a number, variable, or '('")
+
+    poly = expr()
+    kind, value, pos = tokens[i]
+    if kind != "eof":
+        raise ParseError(pos, f"trailing input {value!r}", "end of input")
+    return poly
 
 
 def _format_monomial(ring, mono) -> str:

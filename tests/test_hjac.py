@@ -181,6 +181,12 @@ def test_evaluate_off_hypersurface():
         evaluate_at(jac, (1, 2))
 
 
+def test_off_hypersurface_message_prints_rational_coordinates():
+    with pytest.raises(PointNotOnHypersurfaceError) as exc:
+        rank_at(P(CUSP, RING2), 2, (Fraction(1, 2), 1))
+    assert str(exc.value) == "F(1/2, 1) = -7/8 != 0"
+
+
 def test_rank_fixtures():
     F = P(CUSP, RING2)
     assert rank_at(F, 2, (1, 1)) == 3
