@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import multiindex as mi
 from .hjac import PointNotOnHypersurfaceError, _check_input, _taylor_at
-from .polynomial import Polynomial, make_point
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
     e >= 2, each term being at least its e = 1 value and the k = 1 term s, not
     s - 1: min(e, 2) decides, so F(x + p) is expanded to degree 1 only."""
     _check_input(F, n)
-    point = make_point(point)
-    coefficients = _taylor_at(F, point, 1)
-    if (0,) * len(point) in coefficients:
+    coefficients, _ = _taylor_at(F, point, 1)
+    if (0,) * F.num_vars in coefficients:
         raise PointNotOnHypersurfaceError("point is not on the hypersurface")
     s = F.num_vars
     e = min(map(sum, coefficients), default=2)

@@ -9,8 +9,8 @@ enumeration order.  The (beta, alpha) entry is d^(alpha-beta)F / (alpha-beta)!
 when alpha >= beta componentwise and 0 otherwise.
 
 So the matrix is a table of Taylor coefficients read through alpha - beta:
-`build` sums them, and `_taylor_at` their values at p, the terms of F(x + p),
-which evaluation, translation to the origin and the order at p all read.
+`build` holds its layout, `HigherJacobian.taylor` sums them on first read, and
+`_taylor_at` gives their values at p, the terms of F(x + p), in integers.
 """
 
 from __future__ import annotations
@@ -39,14 +39,24 @@ class SingularPointError(ValueError):
 @dataclass(frozen=True)
 class HigherJacobian:
     """The order-n matrix as its Taylor table: `taylor` holds d^gamma F / gamma!
-    for |gamma| <= n in the canonical order, then 0, and `cells[i][j]` is the
-    position of entry (i, j) in it.  Labels and cells are `_layout`'s, shared."""
+    for |gamma| <= n in the canonical order, then 0, summed on first read, and
+    `cells[i][j]` is the position of entry (i, j) in it, as `_layout` shares it."""
     F: Polynomial
     n: int
     row_labels: tuple[mi.MultiIndex, ...]
     col_labels: tuple[mi.MultiIndex, ...]
-    taylor: tuple[Polynomial, ...]
     cells: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def taylor(self) -> tuple[Polynomial, ...]:
+        # d^gamma F/gamma! sums c*C(m, gamma) x^(m-gamma) over c*x^m; m -> m-gamma is one-to-one
+        position = _layout(self.F.num_vars, self.n)[2]
+        terms: list[dict] = [{} for _ in position]
+        for mono, c in self.F.terms.items():
+            for gamma, rest, binom in mi.binomial_terms(mono, self.n):
+                terms[position[gamma]][rest] = c * binom
+        zero = Polynomial.zero(self.F.ring)
+        return tuple(Polynomial._from_terms(self.F.ring, t) if t else zero for t in terms) + (zero,)
 
     @property
     def num_rows(self) -> int:
@@ -95,55 +105,52 @@ def _layout(s: int, n: int):
     return rows, cols, position, cells
 
 
-def _taylor_at(F: Polynomial, point: tuple[Fraction, ...], degree: int | None = None) -> dict:
-    """The nonzero (d^gamma F / gamma!)(p) = sum c*C(m, gamma)*p^(m - gamma)
-    by gamma, only |gamma| <= degree when it is given: the terms of F(x + p),
-    summed over the binomial terms of each c*x^m of F as in `build`."""
+def _taylor_at(F: Polynomial, point, degree: int | None = None) -> tuple[dict, int]:
+    """The nonzero (d^gamma F / gamma!)(p) by gamma, |gamma| <= degree if given, at a
+    rational p: the terms of F(x + p), as integer numerators over one scale S = L*q^D,
+    L and q the lcms of the denominators of F and p, a = q*p and D = deg F.  The numerator
+    at gamma sums (c*L)*C(m, gamma)*a^(m - gamma)*q^(D - |m - gamma|) over the c*x^m of F."""
+    point = make_point(point)
     if len(point) != F.num_vars:
-        raise ValueError("point dimension does not match the ring")
-    return _collect(
-        (gamma, c * binom * math.prod(p**e for p, e in zip(point, rest) if e))
-        for mono, c in F.terms.items() for gamma, rest, binom in mi.binomial_terms(mono, degree))
+        raise ValueError(f"point has {len(point)} coordinates, expected {F.num_vars}")
+    L = math.lcm(*(c.denominator for c in F.terms.values()))
+    q = math.lcm(*(x.denominator for x in point))
+    a = [x.numerator * (q // x.denominator) for x in point]
+    D = max(map(sum, F.terms), default=0)
+    return _collect((gamma, c.numerator * (L // c.denominator) * binom * q ** (D - sum(rest))
+                     * math.prod(x**e for x, e in zip(a, rest) if e))
+                    for mono, c in F.terms.items()
+                    for gamma, rest, binom in mi.binomial_terms(mono, degree)), L * q**D
 
 
 def build(F: Polynomial, n: int) -> HigherJacobian:
-    """Construct the order-n Jacobian matrix of a nonzero polynomial."""
+    """The order-n Jacobian matrix of a nonzero polynomial, as its cached layout."""
     _check_input(F, n)
-    rows, cols, position, cells = _layout(F.num_vars, n)
-    # every Taylor coefficient d^gamma F / gamma! = sum c*C(m, gamma) x^(m-gamma)
-    # with |gamma| <= n, in one pass over the terms c*x^m of F; m -> m - gamma
-    # is one-to-one, so no two terms of one coefficient meet
-    terms: list[dict] = [{} for _ in range(len(position))]
-    for mono, c in F.terms.items():
-        for gamma, rest, binom in mi.binomial_terms(mono, n):
-            terms[position[gamma]][rest] = c * binom
-    zero = Polynomial.zero(F.ring)
-    taylor = tuple(Polynomial._from_terms(F.ring, t) if t else zero for t in terms) + (zero,)
-    return HigherJacobian(F, n, rows, cols, taylor, cells)
+    rows, cols, _, cells = _layout(F.num_vars, n)
+    return HigherJacobian(F, n, rows, cols, cells)
 
 
-def _table_at(jac: HigherJacobian, point) -> list[Fraction]:
-    """The table's values at p, the terms of F(x + p) up to degree n, then 0."""
-    point = make_point(point)
-    values = _taylor_at(jac.F, point, jac.n)
-    value = values.get((0,) * len(point))
-    if value is not None:
-        raise PointNotOnHypersurfaceError(f"F({', '.join(map(str, point))}) = {value} != 0")
-    zero = Fraction(0)
-    return [values.get(gamma, zero) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [zero]
+def _numerators_at(jac: HigherJacobian, point) -> tuple[list[int], int]:
+    """The table's values at p, then 0, as integers over their lcd d = S/gcd(S, numerators)."""
+    values, scale = _taylor_at(jac.F, point, jac.n)
+    if (value := values.get((0,) * jac.F.num_vars)) is not None:
+        raise PointNotOnHypersurfaceError(
+            f"F({', '.join(map(str, make_point(point)))}) = {Fraction(value, scale)} != 0")
+    table = [values.get(gamma, 0) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [0]
+    g = math.gcd(scale, *table)
+    return [v // g for v in table], scale // g
 
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
     """Entrywise evaluation; the point must lie on the hypersurface."""
-    table = _table_at(jac, point)
+    table, d = _numerators_at(jac, point)
+    table = [Fraction(v, d) for v in table]
     return [list(map(table.__getitem__, row)) for row in jac.cells]
 
 
 def _integer_rows_at(jac: HigherJacobian, point) -> list[list[int]]:
     """`evaluate_at`'s rows times d, the lcm of the table's denominators: same rank and kernel."""
-    table = _table_at(jac, point)
-    d = math.lcm(*(v.denominator for v in table))
-    table = [v.numerator * (d // v.denominator) for v in table]
+    table, _ = _numerators_at(jac, point)
     return [list(map(table.__getitem__, row)) for row in jac.cells]
 
 

@@ -56,10 +56,8 @@ class LimitIdealResult:
 
 def translate_to_origin(F: Polynomial, center) -> Polynomial:
     """F(x + center): moves the given point of interest to the origin."""
-    center = make_point(center)
-    if len(center) != F.num_vars:
-        raise ValueError(f"center has {len(center)} coordinates, expected {F.num_vars}")
-    return Polynomial._from_terms(F.ring, _taylor_at(F, center))
+    values, scale = _taylor_at(F, center)
+    return Polynomial._from_terms(F.ring, {m: Fraction(v, scale) for m, v in values.items()})
 
 
 def limit_ideal(

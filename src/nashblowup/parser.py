@@ -8,12 +8,12 @@ Grammar (whitespace insignificant):
     base     := rational | variable | '(' expr ')'
     rational := integer ('/' positive-integer)?
 
-Products require an explicit '*'; coefficients are exact rationals.  The
-text becomes one token list, closed by an eof token, which one recursive
-descent reads with one cursor.  A ParseError, with position and expected
-text, names an unexpected character, trailing input, a malformed exponent,
-a malformed or zero denominator, an unknown variable, unbalanced
-parentheses, an unexpected token or an unexpected end of input.
+Products require an explicit '*'; coefficients are exact rationals.  The text
+becomes one token list, closed by an eof token, which one recursive descent
+reads with one cursor.  A ParseError, with position and expected text, names
+an unexpected character, trailing input, a malformed exponent, a malformed or
+zero denominator, an integer literal too long for int(), an unknown variable,
+unbalanced parentheses, an unexpected token or an unexpected end of input.
 """
 
 from __future__ import annotations
@@ -72,6 +72,12 @@ def parse_polynomial(text: str, ring) -> Polynomial:
         kind, value, _ = tokens[i]
         return take()[1] if kind == "op" and value in ops else ""
 
+    def integer(value: str, pos: int) -> int:
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts from a string
+            raise ParseError(pos, f"integer literal of {len(value)} digits") from None
+
     def expr() -> Polynomial:
         poly = term()
         while op := accept("+-"):
@@ -92,19 +98,19 @@ def parse_polynomial(text: str, ring) -> Polynomial:
             kind, value, pos = take()
             if kind != "int":
                 raise ParseError(pos, f"malformed exponent {value!r}", "a non-negative integer")
-            poly = poly ** int(value)
+            poly = poly ** integer(value, pos)
         return poly
 
     def base() -> Polynomial:
         kind, value, pos = take()
         if kind == "int":
-            numerator = int(value)
+            numerator = integer(value, pos)
             if not accept("/"):
                 return Polynomial.constant(ring, numerator)
             kind, den, pos = take()
             if kind != "int":
                 raise ParseError(pos, f"malformed denominator {den!r}", "a positive integer")
-            if int(den) == 0:
+            if integer(den, pos) == 0:
                 raise ParseError(pos, "zero denominator")
             return Polynomial.constant(ring, Fraction(numerator, int(den)))
         if kind == "name":

@@ -46,6 +46,7 @@ CASES = {
     "jac-order-0": ("jac", *CUSP, "-n", "0", *JSON),
     "jac-zero-poly": ("jac", "--poly", "0", "--vars", "x,y", "-n", "1", *JSON),
     "jac-parse-error": ("jac", "--poly", "x^3-w^2", "--vars", "x,y", "-n", "2", *JSON),
+    "jac-long-literal": ("jac", "--poly", "x+" + "9" * 5000, "--vars", "x,y", "-n", "1", *JSON),
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
     # singular

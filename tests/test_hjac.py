@@ -345,6 +345,68 @@ def test_integer_rows_give_the_rank_and_kernel_of_the_fraction_matrix(text):
     assert singular == {True, False}
 
 
+def rational_polynomials(ring):
+    coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 40))
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(ring)), coeffs,
+                           max_size=5).map(lambda terms: Polynomial(ring, terms))
+
+
+def rational_points(ring):
+    large = [x for pair in LARGE_DENOMINATORS for x in pair]
+    coords = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+                       st.sampled_from(large))
+    return st.tuples(*[coords] * len(ring))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.sampled_from([("x",), RING2, RING3]).flatmap(
+           lambda ring: st.tuples(rational_polynomials(ring), rational_points(ring))),
+       degree=st.one_of(st.none(), st.integers(0, 4)))
+def test_taylor_at_is_the_translate_in_integers(data, degree):
+    # _taylor_at's integer numerators over its scale S = L*q^D are the terms of
+    # F(x + p) of degree <= degree, against the translate by substitution
+    F, p = data
+    values, scale = hjac._taylor_at(F, p, degree)
+    L = math.lcm(*(c.denominator for c in F.terms.values()))
+    q = math.lcm(*(x.denominator for x in p))
+    assert scale == L * q ** max(F.total_degree(), 0)
+    assert all(type(v) is int and v for v in values.values())
+    expected = {g: c for g, c in translate(F, p).terms.items()
+                if degree is None or sum(g) <= degree}
+    assert {g: Fraction(v, scale) for g, v in values.items()} == expected
+
+
+def test_pointwise_queries_need_no_fraction_arithmetic_and_no_symbolic_table(monkeypatch):
+    # the rank, the verdict and the kernel come from integer rows alone; Fractions
+    # are only constructed (the point, the kernel's entries), never added,
+    # multiplied or raised to a power, and no query sums the symbolic table
+    F = P(SURF, RING3)
+    points = [(Fraction(0),) * 3] + [ON_HYPERSURFACE[SURF][1](t, s) for t, s in LARGE_DENOMINATORS]
+    expected = [(is_singular(F, 4, p), rank_at(F, 4, p),
+                 None if is_singular(F, 4, p) else tangent_space(F, 4, p)) for p in points]
+    assert {singular for singular, _, _ in expected} == {True, False}
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic on the pointwise path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__"):
+        monkeypatch.setattr(Fraction, name, no_arithmetic)
+    for p, (singular, rank, basis) in zip(points, expected):
+        assert (is_singular(F, 4, p), rank_at(F, 4, p)) == (singular, rank)
+        if singular:
+            with pytest.raises(SingularPointError):
+                tangent_space(F, 4, p)
+        else:
+            assert tangent_space(F, 4, p) == basis
+        jac = build(F, 4)
+        hjac._integer_rows_at(jac, p)
+        assert "taylor" not in vars(jac)
+    monkeypatch.undo()
+    assert jac.entries[0][0] is jac.taylor[jac.cells[0][0]]
+    assert "taylor" in vars(jac)
+
+
 def test_echelon_property():
     # when dF/dx_1 (first variable) does not vanish at p, the evaluated
     # matrix is already in row echelon form with that partial as every pivot

@@ -97,6 +97,8 @@ PARSE_ERRORS = {
     "unexpected token": ("x + *y", 4, "unexpected token '*'", "a number, variable, or '('"),
     "unexpected end of input": ("x + ", 4, "unexpected end of input",
                                 "a number, variable, or '('"),
+    # past int()'s limit on the digits of a string (4,300 by default)
+    "integer literal": ("x + " + "9" * 5000, 4, "integer literal of 5000 digits", ""),
 }
 
 
