@@ -147,7 +147,7 @@ def test_references_fixture():
 
 
 def test_engine_expands_taylor_coefficients_in_hjac_alone():
-    # hjac owns the Taylor expansion, symbolic (`build`) and at a point
+    # hjac owns the Taylor expansion, symbolic (`HigherJacobian.taylor`) and at a point
     # (`_taylor_at`); its matrix is a table read through cached cells, so
     # nothing there finds shared entries again by identity
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
