@@ -7,9 +7,12 @@ covered, in structured form, plus the text form of the commands that print
 a minor table.  Each invocation runs in a scratch directory holding the
 generator files named in `FILES`.
 
-After an intended change of output, re-record with
+After an intended change of output, re-record the cases it changes by name,
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py limits-cusp limits-node
+
+With no names the recorder adds only the cases missing from
+`golden_cli.json`; it never rewrites a stored entry it was not named.
 """
 
 from __future__ import annotations
@@ -81,6 +84,9 @@ CASES = {
     "limits-D4": _limits("x^2*y-y^3", *JSON),
     "limits-D4-text": _limits("x^2*y-y^3"),
     "limits-node": _limits("x^3+x^2-y^2", *JSON),
+    "limits-A1-surface": ("limits", "--poly", "x*y-z^2", "--vars", "x,y,z", "-n", "2",
+                          "--point", "0,0,0", *JSON),
+    "limits-A3-surface": ("limits", *SURFACE, "-n", "2", "--point", "0,0,0", *JSON),
     "limits-max-pairs": _limits("x^3-y^2", "--max-pairs", "1", *JSON),
     "limits-max-pairs-text": _limits("x^3-y^2", "--max-pairs", "1"),
     "limits-max-reductions": _limits("x^3-y^2", "--max-reductions", "1", *JSON),
@@ -157,18 +163,24 @@ def test_cli_output_matches_golden(name, scratch_dir, monkeypatch):
     assert run(CASES[name]) == GOLDENS[name]
 
 
-def record() -> None:
+def record(names) -> None:
+    """Record the named cases, or with no names the cases not yet stored,
+    keeping every other stored entry as it is."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown cases: {', '.join(unknown)}")
+    names = names or [name for name in CASES if name not in GOLDENS]
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         write_files(directory)
         os.chdir(directory)
         try:
-            goldens = {name: run(argv) for name, argv in CASES.items()}
+            goldens = {**GOLDENS, **{name: run(CASES[name]) for name in names}}
         finally:
             os.chdir(here)
     GOLDEN.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(goldens)} invocations in {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(names)} invocations in {GOLDEN}: {', '.join(names)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])
