@@ -80,10 +80,10 @@ def limit_ideal(
        `groebner.eliminate` under (t) >> grevlex(x, u), the one step the
        budgets cap; x is set to 0, keeping the terms that hold no x, and
        the result is reduced in the free u's.
-    3. The linear generators and that basis, sorted by leading monomial,
-       are the reduced grevlex basis in all u's: the leading terms u_J of
-       the linear generators are not free u's, and their tails hold only
-       free ones, of degree 1, which lead no element of the basis.
+    3. The linear generators, ascending in their leading terms u_J (no
+       free u's; tails of free u's only), then that basis, ascending too
+       and with no element of degree 1 (the free minors are a basis of
+       I/(m*I + (F))), are the reduced grevlex basis in all u's in order.
 
     Steps 1 and 2 give the whole limit ideal by Nakayama: m annihilates
     I^d/m*I^d, so the fiber ring (the direct sum over d of I^d/m*I^d) is
@@ -121,11 +121,8 @@ def limit_ideal(
         terms = {m[s:]: c for m, c in g.terms.items() if not any(m[:s])}
         if terms:
             projected.append(Polynomial._from_terms(free_names, terms))
-    order = grevlex()
-    reduced = buchberger(projected, order, free_names) if projected else []
-    key = order.key_func(unames)
-    generators = sorted(linear + [g.to_ring(unames) for g in reduced],
-                        key=lambda g: key(g.leading_monomial(order)))
+    reduced = buchberger(projected, grevlex(), free_names) if projected else []
+    generators = linear + [g.to_ring(unames) for g in reduced]
     return LimitIdealResult(
         F=F,
         n=n,
@@ -235,16 +232,13 @@ def _linear_row(g: Polynomial) -> list[Fraction] | None:
 
 
 def _substitution_from_rows(ring, rows):
-    """Solved linear system as {pivot variable -> polynomial in free vars}."""
+    """Solved linear system as {pivot variable -> polynomial in free vars},
+    one term -c*u_j per nonzero entry c at j > p of the row with pivot p."""
     R, pivots = linalg.rref(rows)
-    subs = {}
-    for r, p in enumerate(pivots):
-        expr = Polynomial.zero(ring)
-        for j in range(p + 1, len(ring)):
-            if R[r][j]:
-                expr = expr - Polynomial.variable(ring, ring[j]).scalar_mul(R[r][j])
-        subs[ring[p]] = expr
-    return subs
+    k = len(ring)
+    return {ring[p]: Polynomial._from_terms(ring, {
+        (0,) * j + (1,) + (0,) * (k - j - 1): -c for j, c in enumerate(R[r][p + 1:], p + 1) if c})
+        for r, p in enumerate(pivots)}
 
 
 def describe_planes(generators):

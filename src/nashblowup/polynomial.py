@@ -65,7 +65,7 @@ def _fresh(name: str, taken) -> str:
 class Polynomial:
     """An element of Q[x_1, ..., x_s], stored sparsely."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Iterable[str], terms: Mapping[tuple, Scalar] | None = None):
         ring = tuple(ring)
@@ -83,9 +83,8 @@ class Polynomial:
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
                 pairs.append((mono, _coerce_scalar(coeff)))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", _collect(pairs))
-        object.__setattr__(self, "_hash", None)
+        self.ring = ring
+        self.terms = _collect(pairs)
 
     # -- constructors ------------------------------------------------------
 
@@ -95,9 +94,8 @@ class Polynomial:
         dict of exponent tuples of its length to nonzero Fractions, taken as
         they are, without copying or checking."""
         out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "terms", terms)
-        object.__setattr__(out, "_hash", None)
+        out.ring = ring
+        out.terms = terms
         return out
 
     @staticmethod
@@ -150,11 +148,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
