@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashblowup import limits
-from nashblowup.groebner import BudgetExceededError, Ideal, eliminate, ideal_equal, normal_form
+from nashblowup.groebner import (BudgetExceededError, Ideal, buchberger, eliminate, ideal_equal,
+                                 normal_form)
 from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
 from nashblowup.limits import containment_oracle, describe_planes, limit_ideal, translate_to_origin
 from nashblowup.parser import parse_polynomial
@@ -183,6 +184,23 @@ def test_limit_ideal_equals_the_graph_ideal_elimination(case):
     assert (result.generators, result.planes) == graph_ideal_limit(F, n, center)
 
 
+@pytest.mark.parametrize("text, ring", [(text, RING2) for text in CURVES]
+                         + [("x*y - z^2", ("x", "y", "z"))], ids=[*CURVES, "x*y - z^2"])
+def test_limit_ideal_is_returned_in_increasing_leading_term(text, ring):
+    # limit_ideal does not sort: the linear generators come first, ascending,
+    # and the reduced basis in the free u's after them holds no linear form
+    F = P(text, ring)
+    result = limit_ideal(F, 2, (0,) * len(ring))
+    _, linear = limits._degree_one(F, [delta for _, delta in result.minors], result.u_ring)
+    gens = result.generators
+    assert linear and gens[:len(linear)] == tuple(linear)
+    assert all(g.total_degree() > 1 for g in gens[len(linear):])
+    order = grevlex()
+    key = order.key_func(result.u_ring)
+    keys = [key(g.leading_monomial(order)) for g in gens]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize("text", CURVES)
 def test_degree_one_leaves_out_the_multiples_of_F(text, monkeypatch):
     # x_i*F lies in (F), so it is not handed to the basis of m*I + (F), on
@@ -330,6 +348,27 @@ def test_describe_planes_affine_linear_generator():
     ring = ("u_1", "u_2")
     assert uplane(["u_1 + 1"], ring) is None
     assert uplane(["u_1*u_2 + u_1"], ring) is None
+
+
+_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitution_from_rows_is_the_normal_form_modulo_the_rows(data):
+    # substituting the solved rows is reducing modulo their grevlex basis,
+    # a normal form that the Groebner engine derives independently
+    k = data.draw(st.integers(1, 6))
+    ring = tuple(f"u_{i}" for i in range(1, k + 1))
+    rows = data.draw(st.lists(st.lists(_fraction, min_size=k, max_size=k).filter(any),
+                              min_size=1, max_size=k))
+    g = Polynomial(ring, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * k), _fraction, max_size=5)))
+    linear = [Polynomial(ring, {tuple(int(j == i) for j in range(k)): c
+                                for i, c in enumerate(row)}) for row in rows]
+    order = grevlex()
+    assert (g.substitute(limits._substitution_from_rows(ring, rows))
+            == normal_form(g, buchberger(linear, order, ring), order))
 
 
 def test_describe_planes_empty_input():
