@@ -159,6 +159,8 @@ def cmd_limits(args) -> int:
         result = limits.limit_ideal(
             F, args.n, center, max_pairs=args.max_pairs, max_reductions=args.max_reductions)
     except BudgetExceededError as exc:
+        if not hasattr(exc, "minors"):
+            raise  # the table itself was refused; `main` reports it
         # still emit the minor table computed before the engine gave up
         entries = _minor_entries(exc.minors, exc.u_ring)
         _emit(args, {"status": "resource-budget-exceeded",

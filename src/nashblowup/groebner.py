@@ -36,11 +36,10 @@ from .polynomial import (
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured resource cap (pairs or reduction steps) was hit.
+    """A configured resource cap (pairs, reduction steps, `hjac.MAX_MINORS`) was hit.
 
-    Raised from `limits.limit_ideal`, it carries the minor table computed
-    before the abort as `minors`, and the names of the u variables, one per
-    minor, as `u_ring`.
+    Raised from the elimination in `limits.limit_ideal`, it carries the minor
+    table as `minors`, and the names of the u variables, one per minor, as `u_ring`.
     """
 
 

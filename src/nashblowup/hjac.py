@@ -24,8 +24,10 @@ from itertools import combinations
 
 from . import linalg
 from . import multiindex as mi
-from .groebner import Ideal, buchberger, normal_form
+from .groebner import BudgetExceededError, Ideal, buchberger, normal_form
 from .polynomial import Polynomial, _collect, grevlex, make_point
+
+MAX_MINORS = 1_000_000  # the cap on a minor table's size; x*y - z^4 at n=3 has 92,378
 
 
 class PointNotOnHypersurfaceError(ValueError):
@@ -213,7 +215,7 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     Returned as (column positions, determinant) with 0-based positions, in
     ascending lexicographic order of the position tuple, zero minors
     included; this enumeration is what numbers the auxiliary variables
-    u_1, u_2, ... downstream.
+    u_1, u_2, ... downstream.  More than MAX_MINORS of them are refused.
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
@@ -230,8 +232,10 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     the table allocates about one object per term of every minor and makes
     no reference cycles, and each collection would rescan all of it.
     """
+    M, C = shape(F.num_vars, max(n, 0))  # an order below 1 is `build`'s error
+    if (count := math.comb(C, M)) > MAX_MINORS:
+        raise BudgetExceededError(f"minors: {count:,} maximal minors, over {MAX_MINORS:,}")
     jac = build(F, n)
-    M, C = jac.num_rows, jac.num_cols
     ring = F.ring
     bits = (M * F.total_degree()).bit_length()
     shifts = [bits * i for i in range(len(ring))]

@@ -12,12 +12,14 @@ Products require an explicit '*'; coefficients are exact rationals.  The text
 becomes one token list, closed by an eof token, which one recursive descent
 reads with one cursor.  A ParseError, with position and expected text, names
 an unexpected character, trailing input, a malformed exponent, a malformed or
-zero denominator, an integer literal too long for int(), an unknown variable,
-unbalanced parentheses, an unexpected token or an unexpected end of input.
+zero denominator, an integer literal too long for int(), a power past the
+MAX_POWER_PRODUCTS cap, an unknown variable, unbalanced parentheses, an
+unexpected token or an unexpected end of input.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +42,21 @@ class ParseError(ValueError):
 NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^])|(\S))")
 _KINDS = (None, "int", "name", "op", "bad")  # by the number of the token's group
+MAX_POWER_PRODUCTS = 500_000  # the cap on a power's term products; (x+y)^1000 forms 415,666
+
+
+def _power_products(t: int, k: int) -> int:
+    """Bounds the term products `Polynomial.__pow__` forms on t terms to the k."""
+    def terms(j):  # t terms to the j have at most C(t + j - 1, j) terms
+        return math.comb(max(t, 1) + j - 1, j)
+    products, done, j = 0, 0, 1
+    while k and products <= MAX_POWER_PRODUCTS:
+        if k & 1:  # result * base
+            products, done = products + terms(done) * terms(j), done + j
+        if k > 1:  # base * base
+            products, j = products + terms(j) ** 2, 2 * j
+        k >>= 1
+    return products
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
@@ -98,7 +115,10 @@ def parse_polynomial(text: str, ring) -> Polynomial:
             kind, value, pos = take()
             if kind != "int":
                 raise ParseError(pos, f"malformed exponent {value!r}", "a non-negative integer")
-            poly = poly ** integer(value, pos)
+            if _power_products(len(poly.terms), k := integer(value, pos)) > MAX_POWER_PRODUCTS:
+                raise ParseError(tokens[i - 2][2], f"power {value} of {len(poly.terms)} terms",
+                                 f"at most {MAX_POWER_PRODUCTS:,} term products")
+            poly = poly ** k
         return poly
 
     def base() -> Polynomial:

@@ -50,6 +50,7 @@ CASES = {
     "jac-zero-poly": ("jac", "--poly", "0", "--vars", "x,y", "-n", "1", *JSON),
     "jac-parse-error": ("jac", "--poly", "x^3-w^2", "--vars", "x,y", "-n", "2", *JSON),
     "jac-long-literal": ("jac", "--poly", "x+" + "9" * 5000, "--vars", "x,y", "-n", "1", *JSON),
+    "jac-power-cap": ("jac", "--poly", "(x+y)^2222", "--vars", "x,y", "-n", "1", *JSON),
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
     # singular
@@ -71,6 +72,7 @@ CASES = {
     "minors": ("minors", *CUSP, "-n", "2", *JSON),
     "minors-text": ("minors", *CUSP, "-n", "2"),
     "minors-order-0": ("minors", *CUSP, "-n", "0", *JSON),
+    "minors-cap": ("minors", *SURFACE, "-n", "4", *JSON),
     # nashideal
     "nashideal-surface": ("nashideal", *SURFACE, "-n", "2", *JSON),
     "nashideal-cusp": ("nashideal", *CUSP, "-n", "2", *JSON),
@@ -99,6 +101,8 @@ CASES = {
     "limits-smooth-center": ("limits", *CUSP, "-n", "2", "--point", "1,1", *JSON),
     "limits-off-surface": ("limits", *CUSP, "-n", "2", "--point", "1,2", *JSON),
     "limits-off-surface-order-0": ("limits", *CUSP, "-n", "0", "--point", "1,2", *JSON),
+    "limits-minors-cap": ("limits", *SURFACE, "-n", "4", "--point", "0,0,0", *JSON),
+    "limits-minors-cap-text": ("limits", *SURFACE, "-n", "4", "--point", "0,0,0"),
     # hilbert
     "hilbert-monomials": ("hilbert", "--monomials", "x^2,y^2", "-n", "3", *JSON),
     "hilbert-monomials-vars": ("hilbert", "--monomials", "x^2", "--vars", "x,y",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nashblowup import hjac, linalg
 from nashblowup import multiindex as mi
-from nashblowup.groebner import Ideal, ideal_equal, normal_form
+from nashblowup.groebner import BudgetExceededError, Ideal, ideal_equal, normal_form
 from nashblowup.hjac import (
     PointNotOnHypersurfaceError,
     SingularPointError,
@@ -24,7 +24,7 @@ from nashblowup.hjac import (
     shape,
     tangent_space,
 )
-from nashblowup.limits import translate_to_origin
+from nashblowup.limits import limit_ideal, translate_to_origin
 from nashblowup.parser import format_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
 
@@ -631,6 +631,19 @@ def test_nash_ideal_generators_are_monic_and_reduced(text, ring, n):
     for g in gens:
         assert g.terms[g.leading_monomial(order)] == 1
         assert normal_form(g, [F], order) == g
+
+
+def test_minor_table_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # x*y - z^4 at n=4 would have C(34, 20) minors; the count alone refuses it
+    assert shape(3, 4) == (20, 34) and math.comb(34, 20) == 1_391_975_640 > hjac.MAX_MINORS
+    assert math.comb(19, 10) == 92_378 <= hjac.MAX_MINORS  # x*y - z^4 at n=3
+    monkeypatch.setattr(hjac, "build", lambda F, n: pytest.fail("the matrix was built"))
+    F = Polynomial(("x", "y", "z"), {(1, 1, 0): 1, (0, 0, 4): -1})
+    for call in (maximal_minors, nash_ideal, lambda F, n: limit_ideal(F, n, (0, 0, 0))):
+        with pytest.raises(BudgetExceededError) as info:
+            call(F, 4)
+        assert str(info.value) == "minors: 1,391,975,640 maximal minors, over 1,000,000"
+        assert not hasattr(info.value, "minors")
 
 
 # -- the collector pause around the minor table ------------------------------

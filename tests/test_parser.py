@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashblowup.parser import ParseError, format_polynomial, parse_polynomial
+from nashblowup.parser import (MAX_POWER_PRODUCTS, ParseError, _power_products, format_polynomial,
+                               parse_polynomial)
 from nashblowup.polynomial import Polynomial, grlex
 
 RING2 = ("x", "y")
@@ -99,6 +100,11 @@ PARSE_ERRORS = {
                                 "a number, variable, or '('"),
     # past int()'s limit on the digits of a string (4,300 by default)
     "integer literal": ("x + " + "9" * 5000, 4, "integer literal of 5000 digits", ""),
+    # refused at the '^' before any expansion
+    "power of two terms": ("(x+y)^2222", 5, "power 2222 of 2 terms",
+                           "at most 500,000 term products"),
+    "power of three terms": ("(x + y + 1) ^ 222", 12, "power 222 of 3 terms",
+                             "at most 500,000 term products"),
 }
 
 
@@ -109,6 +115,22 @@ def test_parse_error_table(kind):
         parse_polynomial(text, RING2)
     assert (exc.value.message, exc.value.position, exc.value.expected) == (
         message, position, expected)
+
+
+def test_power_products_bound_the_products_formed(monkeypatch):
+    formed = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: (
+        formed.append(len(a.terms) * len(b.terms)) or mul(a, b)))
+    for text, t in (("x+y", 2), ("x+y+1", 3), ("x*y-x+2*y^3-1", 4)):
+        base = parse_polynomial(text, RING2)
+        for k in range(13):
+            formed.clear()
+            base ** k
+            assert sum(formed) <= _power_products(t, k)
+    # (x+y)^500 parses; (x+y)^2222, of 2,223 terms, forms too many products
+    assert _power_products(2, 500) == 104_649 <= MAX_POWER_PRODUCTS
+    assert _power_products(2, 2222) > MAX_POWER_PRODUCTS
 
 
 # Digits stop at 2 and strings at 9 characters, so that the largest power
