@@ -333,17 +333,21 @@ def _interreduce(basis: list[tuple], old: int, redundant: set[int], keyf) -> lis
 # -- public rational-arithmetic operations -------------------------------------
 
 
+def _remainders(fs, G, order: MonomialOrder, ring) -> list[tuple[dict, int]]:
+    """(r, d) for each f in `fs`: the remainder of f by G in `ring`, as in
+    `normal_form`, is r/d with integer terms r.  G is cleared and keyed once."""
+    keyf = _keyf(order, ring)
+    divisors = [_entry(_cleared(g.to_ring(ring))[0], keyf) for g in G if not g.is_zero()]
+    reduced = [(_reduce_int(terms, divisors, keyf, _Budget(None)), d)
+               for terms, d in map(_cleared, fs)]
+    return [(r, d * scale) for (r, scale), d in reduced]
+
+
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | None = None) -> Polynomial:
     """Remainder of multivariate division of f by G: no remainder term is
     divisible by any leading term of G, and f - r lies in <G>."""
-    if order is None:
-        order = grevlex()
-    keyf = _keyf(order, f.ring)
-    divisors = [_entry(_cleared(g.to_ring(f.ring))[0], keyf)
-                for g in G if not g.is_zero()]
-    terms, denom = _cleared(f)
-    remainder, scale = _reduce_int(terms, divisors, keyf, _Budget(None))
-    return Polynomial(f.ring, {m: Fraction(v, denom * scale) for m, v in remainder.items()})
+    [(remainder, d)] = _remainders([f], G, order or grevlex(), f.ring)
+    return Polynomial._from_terms(f.ring, {m: Fraction(v, d) for m, v in remainder.items()})
 
 
 def eliminate(

@@ -11,19 +11,19 @@ ideal of the minors modulo F and m the maximal ideal of the center.  m
 annihilates each I^d/m*I^d, so by Nakayama the mu minors whose classes are a
 basis of I/(m*I + (F)) give the same fiber ring, and every other u_J maps
 into it as a linear form in theirs.  `limit_ideal` therefore reads those
-linear forms off one rref of the minors' normal forms modulo the grevlex
-basis of m*I + (F) (`_degree_one`), and eliminates t over the mu free u's
-only: at n=2, 9 of the 126 for xy - z^4 and 2 of the 10 for the cusp and
-the node.  Setting x = 0 keeps the terms of the eliminated basis that hold
-no x.
+linear forms off one integer rref of the minors' remainders modulo the
+grevlex basis of m*I + (F), all from one division pass (`_degree_one`), and
+eliminates t over the mu free u's only: at n=2, 9 of the 126 for xy - z^4
+and 2 of the 10 for the cusp and the node.  Setting x = 0 keeps the terms
+of the eliminated basis that hold no x.
 
 `describe_planes` reports that zero set as a union of linear subspaces of
-u-space when it can.  It runs a depth-first worklist over branches, each a
-list of generators and the linear rows chosen so far: linear generators and
-pure powers become rows, and one rule, `_factors`, splits the first
-remaining generator into polynomials whose zero sets cover its own.
-`containment_oracle` is a one-sided sanity check on the result: no
-generator may have a constant term.
+u-space when it can, by a depth-first worklist over branches of generators
+and linear rows: the division pass restricts the generators modulo the
+rows' rref, linear generators and pure powers become rows, and one rule,
+`_factors`, splits the first remaining generator into polynomials whose
+zero sets cover its own.  `containment_oracle` is a one-sided sanity check
+on the result: no generator may have a constant term.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .groebner import BudgetExceededError, Ideal, buchberger, eliminate, normal_form
+from .groebner import BudgetExceededError, Ideal, _remainders, buchberger, eliminate
 from .hjac import (PointNotOnHypersurfaceError, SingularPointError, _check_input, _taylor_at,
                    maximal_minors)
 from .polynomial import Polynomial, _fresh, grevlex, make_point
@@ -138,37 +138,39 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     """(free, linear): the positions of the free minors, ascending, and the
     monic linear generators of the limit ideal, one per other position.
 
-    The normal forms of the Delta_J modulo G, the grevlex basis of F and
-    every x_i*g for g in the grevlex basis of (F) + I, are the classes of
-    the Delta_J in I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F); a g
-    that is F up to a scalar is skipped, as x_i*F lies in (F).  One
-    rref of their coordinates, the columns in reverse u order, picks as
-    pivots the free minors latest in that order, so each other column J is
-    a combination of free columns after it: u_J - sum c_Jf*u_f, with
-    leading term u_J in grevlex.  The rref holds one row per monomial of the normal
-    forms, so its size is about mu*lambda; the lambda x lambda relation
-    kernel is never formed."""
+    The remainders of the Delta_J modulo G, the grevlex basis of F and
+    every x_i*g for g in the grevlex basis of (F) + I, are their classes in
+    I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F); a g that is F up to
+    a scalar is skipped, as x_i*F lies in (F).  One division pass gives each
+    as integer terms r over a denominator d, and the rref of the columns
+    r*(D/d), D the lcm of the d, is theirs over Q, one scale serving all.
+    In reverse u order, its pivots are the free minors latest in that order,
+    so each other column J is a combination of free columns after it:
+    u_J - sum c_Jf*u_f, leading term u_J in grevlex.  Of about mu*lambda
+    entries, the rref never forms the lambda x lambda relation kernel."""
     order = grevlex()
     ring = shifted.ring
     # the basis is monic, so F enters it, if at all, as F made monic
     monic = shifted.scalar_mul(1 / shifted.terms[shifted.leading_monomial(order)])
     G = buchberger([shifted] + [x * g for g in buchberger([shifted] + deltas, order, ring)
                                 if g != monic for x in Polynomial.variables(ring)], order, ring)
-    forms = [normal_form(delta, G, order) for delta in reversed(deltas)]
-    monomials = sorted({m for f in forms for m in f.terms})
-    R, pivots = linalg.rref([[f.terms.get(m, 0) for f in forms] for m in monomials])
+    remainders = _remainders(reversed(deltas), G, order, ring)
+    scale = math.lcm(*(d for _, d in remainders))
+    columns = [(r, scale // d) for r, d in remainders]
+    monomials = sorted({m for r, _ in columns for m in r})
+    R, pivots = linalg.rref([[r.get(m, 0) * k for r, k in columns] for m in monomials])
     width = len(deltas)
     last = width - 1  # column c holds u_(last - c)
-
-    def unit(k):
-        return tuple(int(i == k) for i in range(width))
-
     linear = []
     for c in sorted(set(range(width)) - set(pivots)):
-        terms = {unit(last - c): 1}
-        terms.update((unit(last - p), -R[r][c]) for r, p in enumerate(pivots) if R[r][c])
+        terms = {_unit(last - c, width): 1}
+        terms.update((_unit(last - p, width), -R[r][c]) for r, p in enumerate(pivots) if R[r][c])
         linear.append(Polynomial(unames, terms))
     return sorted(last - p for p in pivots), linear
+
+
+def _unit(k: int, width: int) -> tuple[int, ...]:
+    return (0,) * k + (1,) + (0,) * (width - k - 1)
 
 
 def containment_oracle(result: LimitIdealResult) -> bool:
@@ -231,14 +233,14 @@ def _linear_row(g: Polynomial) -> list[Fraction] | None:
     return row
 
 
-def _substitution_from_rows(ring, rows):
-    """Solved linear system as {pivot variable -> polynomial in free vars},
-    one term -c*u_j per nonzero entry c at j > p of the row with pivot p."""
+def _restricted(gens: list[Polynomial], rows, ring) -> list[Polynomial]:
+    """`gens` modulo the linear forms of the rref of `rows`, which are their
+    reduced grevlex basis, as each row's pivot is its leading term."""
     R, pivots = linalg.rref(rows)
-    k = len(ring)
-    return {ring[p]: Polynomial._from_terms(ring, {
-        (0,) * j + (1,) + (0,) * (k - j - 1): -c for j, c in enumerate(R[r][p + 1:], p + 1) if c})
-        for r, p in enumerate(pivots)}
+    forms = [Polynomial._from_terms(ring, {_unit(j, len(ring)): c for j, c in enumerate(row) if c})
+             for row in R[:len(pivots)]]
+    return [Polynomial._from_terms(ring, {m: Fraction(v, d) for m, v in r.items()})
+            for r, d in _remainders(gens, forms, grevlex(), ring)]
 
 
 def describe_planes(generators):
@@ -263,8 +265,7 @@ def describe_planes(generators):
         gens, rows, depth = work.pop()
         if depth > MAX_DEPTH:
             return None
-        subs = _substitution_from_rows(ring, rows)
-        gens = [h for h in (g.substitute(subs) if subs else g for g in gens) if not h.is_zero()]
+        gens = [h for h in (_restricted(gens, rows, ring) if rows else gens) if not h.is_zero()]
         if any(h.is_constant() for h in gens):
             continue  # empty on this branch
         factors = [_factors(g) for g in gens]

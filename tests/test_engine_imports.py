@@ -1,7 +1,8 @@
 """The engine in src/nashblowup imports nothing outside the standard library,
 sympy and the other test extras serving only as references in the tests,
-it keeps no private helper that nothing calls, and one helper alone pauses
-the cyclic garbage collector.  Neither the engine nor the tests read the
+it keeps no private helper that nothing calls, one helper alone pauses the
+cyclic garbage collector, and one pass in groebner divides by a basis, with
+no substitution.  Neither the engine nor the tests read the
 environment, so the suite runs one configuration."""
 
 import ast
@@ -153,6 +154,14 @@ def test_engine_expands_taylor_coefficients_in_hjac_alone():
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert references(sources, {"binomial_terms"}) == [("hjac.py", "binomial_terms")]
     assert references({"hjac.py": sources["hjac.py"]}, {"id"}) == []
+
+
+def test_engine_divides_by_a_basis_in_one_pass():
+    # plane branches are restricted by the groebner division pass, not by
+    # substitution, and the integer pseudo-reduction is called there alone
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert references(sources, {"substitute"}) == []
+    assert references(sources, {"_reduce_int"}) == [("groebner.py", "_reduce_int")]
 
 
 ENVIRONMENT = {"environ", "getenv"}

@@ -85,6 +85,17 @@ def test_normal_form_matches_sympy(f, gens, scales):
     assert sympy.expand(as_sympy(normal_form(f, basis, grevlex()), symbols) - expected) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(fs=st.lists(polynomials(RING3, 3), min_size=2, max_size=5),
+       G=st.lists(polynomials(RING3, 2, constant=False), max_size=3),
+       order=st.sampled_from([grevlex(), lex()]))
+def test_one_pass_reduces_like_one_call_per_polynomial(fs, G, order):
+    # G, any divisors and not a basis, is cleared and keyed once for all of
+    # fs; each remainder r/d is the one a pass over f alone gives
+    batch = groebner._remainders(fs, G, order, RING3)
+    assert batch == [groebner._remainders([f], G, order, RING3)[0] for f in fs]
+
+
 # -- s-polynomials -----------------------------------------------------------
 
 

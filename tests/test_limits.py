@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashblowup import limits
+from nashblowup import groebner, limits, linalg
 from nashblowup.groebner import (BudgetExceededError, Ideal, buchberger, eliminate, ideal_equal,
                                  normal_form)
 from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
@@ -222,6 +222,42 @@ def test_degree_one_leaves_out_the_multiples_of_F(text, monkeypatch):
     assert not {monic(x * F) for x in Polynomial.variables(RING2)} & set(map(monic, multiples))
 
 
+@pytest.mark.parametrize("text, ring", [("1/2*x^3 - 2/3*y^2 + x*y^2", RING2),
+                                        ("x*y - 3/2*z^2 + 1/5*x^2*z", ("x", "y", "z"))])
+def test_degree_one_hands_rref_the_remainders_in_integers(text, ring, monkeypatch):
+    # each column is a remainder times D/d over the common denominator D, so
+    # the rows are ints and their rref is that of the remainders over Q
+    F = P(text, ring)
+    deltas = [delta for _, delta in maximal_minors(F, 2)]
+    handed = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda rows: handed.append(rows) or rref(rows))
+    limits._degree_one(F, deltas, tuple(f"u_{k}" for k in range(1, len(deltas) + 1)))
+    [rows] = handed
+    assert rows and {type(c) for row in rows for c in row} == {int}
+    order = grevlex()
+    ideal = [F] + [x * g for g in buchberger([F] + deltas, order, ring)
+                   for x in Polynomial.variables(ring)]
+    forms = [normal_form(delta, buchberger(ideal, order, ring), order) for delta in deltas[::-1]]
+    assert any(c.denominator > 1 for f in forms for c in f.terms.values())
+    monomials = sorted({m for f in forms for m in f.terms})
+    assert rref(rows) == rref([[f.terms.get(m, 0) for f in forms] for m in monomials])
+
+
+def test_degree_one_keys_the_order_once_per_basis(monkeypatch):
+    # two bases and one pass over all lambda minors, each keyed once
+    keyf = groebner._keyf
+    calls = []
+    monkeypatch.setattr(groebner, "_keyf", lambda *args: calls.append(args) or keyf(*args))
+    for text, ring, size in ((CUSP, RING2, 10), ("x*y - z^2", ("x", "y", "z"), 126)):
+        F = P(text, ring)
+        deltas = [delta for _, delta in maximal_minors(F, 2)]
+        assert len(deltas) == size
+        calls.clear()
+        limits._degree_one(F, deltas, tuple(f"u_{k}" for k in range(1, size + 1)))
+        assert len(calls) == 3
+
+
 # -- oracles ----------------------------------------------------------------
 
 
@@ -355,20 +391,20 @@ _fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_substitution_from_rows_is_the_normal_form_modulo_the_rows(data):
-    # substituting the solved rows is reducing modulo their grevlex basis,
-    # a normal form that the Groebner engine derives independently
+def test_branch_restriction_is_the_substitution_of_the_solved_rows(data):
+    # reducing modulo the rref rows read as linear forms is substituting, for
+    # each pivot u_p, the solved row: one term -c*u_j per nonzero entry c at j > p
     k = data.draw(st.integers(1, 6))
     ring = tuple(f"u_{i}" for i in range(1, k + 1))
     rows = data.draw(st.lists(st.lists(_fraction, min_size=k, max_size=k).filter(any),
                               min_size=1, max_size=k))
-    g = Polynomial(ring, data.draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * k), _fraction, max_size=5)))
-    linear = [Polynomial(ring, {tuple(int(j == i) for j in range(k)): c
-                                for i, c in enumerate(row)}) for row in rows]
-    order = grevlex()
-    assert (g.substitute(limits._substitution_from_rows(ring, rows))
-            == normal_form(g, buchberger(linear, order, ring), order))
+    gens = [Polynomial(ring, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * k), _fraction, max_size=5))) for _ in range(3)]
+    R, pivots = linalg.rref(rows)
+    solved = {ring[p]: Polynomial(ring, {tuple(int(i == j) for i in range(k)): -c
+                                         for j, c in enumerate(R[r][p + 1:], p + 1) if c})
+              for r, p in enumerate(pivots)}
+    assert limits._restricted(gens, rows, ring) == [g.substitute(solved) for g in gens]
 
 
 def test_describe_planes_empty_input():
