@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, buchberger
-from .parser import NAME, ParseError, format_polynomial, parse_polynomial
+from .parser import NAME, RATIONAL, ParseError, format_polynomial, parse_polynomial
 from .polynomial import MonomialOrder
 
 SCHEMA_VERSION = 1
@@ -47,8 +47,9 @@ def _parse_point(text: str, s: int) -> tuple[Fraction, ...]:
         raise InputError(f"point has {len(parts)} coordinates, expected {s}")
     coords = []
     for p in parts:
-        if "." in p:
-            raise InputError(f"decimal input rejected, use exact rationals: {p!r}")
+        if not RATIONAL.fullmatch(p):
+            raise InputError(f"decimal input rejected, use exact rationals: {p!r}" if "." in p
+                             else f"bad rational {p!r}: not of the form [+-]digits[/digits]")
         try:
             coords.append(Fraction(p))
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,17 @@ def test_point_rejects_decimals(capsys):
     code, _, err = run(capsys, "singular", "--poly", "x^3-y^2",
                        "--vars", "x,y", "-n", "2", "--point", "1.0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("coordinate", ["1e3000000", "1_000", "1/-2", "0x10", "1 / 2", "inf"])
+def test_point_refuses_what_is_not_a_rational_literal(capsys, coordinate):
+    # Fraction(str) takes the first two, and 10^3000000 took seconds to build
+    start = time.perf_counter()
+    code, out, err = run(capsys, "singular", "--poly", "x^3-y^2",
+                         "--vars", "x,y", "-n", "1", "--point", f"{coordinate},0")
+    assert (code, out) == (2, "")
+    assert err == f"input error: bad rational {coordinate!r}: not of the form [+-]digits[/digits]\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_point_accepts_rationals(capsys):

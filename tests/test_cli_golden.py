@@ -51,6 +51,7 @@ CASES = {
     "jac-parse-error": ("jac", "--poly", "x^3-w^2", "--vars", "x,y", "-n", "2", *JSON),
     "jac-long-literal": ("jac", "--poly", "x+" + "9" * 5000, "--vars", "x,y", "-n", "1", *JSON),
     "jac-power-cap": ("jac", "--poly", "(x+y)^2222", "--vars", "x,y", "-n", "1", *JSON),
+    "jac-power-bits": ("jac", "--poly", "3^10000000", "--vars", "x,y", "-n", "1", *JSON),
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
     # singular
@@ -60,6 +61,7 @@ CASES = {
     "singular-order-0": ("singular", *CUSP, "-n", "0", "--point", "0,0", *JSON),
     "singular-decimal": ("singular", *CUSP, "-n", "2", "--point", "1.0,1", *JSON),
     "singular-bad-rational": ("singular", *CUSP, "-n", "2", "--point", "1/0,1", *JSON),
+    "singular-point-grammar": ("singular", *CUSP, "-n", "1", "--point", "1e3000000,0", *JSON),
     "singular-arity": ("singular", *CUSP, "-n", "2", "--point", "1", *JSON),
     # tangent
     "tangent": ("tangent", *CUSP, "-n", "2", "--point", "1,1", *JSON),

@@ -105,6 +105,12 @@ PARSE_ERRORS = {
                            "at most 500,000 term products"),
     "power of three terms": ("(x + y + 1) ^ 222", 12, "power 222 of 3 terms",
                              "at most 500,000 term products"),
+    # 3^10000 has 4,772 digits, past what format_polynomial can print
+    "power of a coefficient": ("3^10000 * x", 1, "power 10000 of 2-bit coefficients",
+                               "at most 14,284 coefficient bits"),
+    # (1/3*x)^7142, of 14,284 bits, parses
+    "power of a denominator": ("(1/3*x)^7143", 7, "power 7143 of 2-bit coefficients",
+                               "at most 14,284 coefficient bits"),
 }
 
 
