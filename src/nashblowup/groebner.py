@@ -8,12 +8,12 @@ form of Becker & Weispfenning's UPDATE), and the queue selects the smallest
 sugar first, then the smallest lcm in the active order (Giovini et al.,
 "One sugar cube, please", ISSAC 1991).
 
-The inner loop runs in C builtins where it can: monomials are exponent
-tuples combined by `map` over `operator` functions, and each call keys the
-monomial order through a dict that computes every monomial's key once.
-`buchberger` keeps one generator per class of nonzero scalar multiples, so a
-duplicate up to a scalar costs no reduction; a generator already in the
-ideal costs one.
+Inside, a monomial is one int packed by `_Packing` (Monagan & Pearce, JSC
+2011): int comparison is the order, int addition the product, and one masked
+subtraction tests divisibility (after Bachmann & Schoenemann, ISSAC 1998);
+exponent tuples are only where `Polynomial`s enter and leave.  `buchberger`
+keeps one generator per class of nonzero scalar multiples, so a duplicate up
+to a scalar costs no reduction; a generator already in the ideal costs one.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter, le, sub
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter, mul
+from typing import Iterable, Sequence
 
 from .polynomial import (
     MonomialOrder,
@@ -58,78 +58,122 @@ class Ideal:
 # -- internal integer representation ------------------------------------------
 
 
-def _cleared(f: Polynomial) -> tuple[dict, int]:
-    """(terms, d): integer terms equal to d * f for the least such d."""
+class _Packing(dict):
+    """The order-encoding packing K of the monomials of `ring` under `order`:
+    `self[m]` packs the exponent tuple m into an int, once per call.  From the
+    top, K holds the fields of `order.key_func(ring)`, each -e_i as cap - e_i,
+    then the total degree, each of `width` value bits under a guard bit; cap =
+    2^width - 1 bounds every degree.  K is affine, so `a < b` is the order,
+    a + b - K(1) the product, lt - g_lt the shift of a division step and
+    `k & cap` the degree; g divides m iff `(m - (g - borrow)) & guard == plus`."""
+
+    def __init__(self, ring, order: MonomialOrder, width: int):
+        super().__init__()
+        self.ring, self.width, self.cap = tuple(ring), width, (cap := (1 << width) - 1)
+        self.graded = order.kind in ("grlex", "grevlex")
+        blocks = [every := list(range(len(ring)))]
+        if order.kind == "elimination":
+            order.key_func(ring)  # refuses a dropped name outside the ring
+            blocks = [[i for i in every if ring[i] in order.drop],
+                      [i for i in every if ring[i] not in order.drop]]
+        # (variables, sign) from the bottom: sign 0 sums the variables'
+        # exponents, 1 holds e_i and -1 holds cap - e_i
+        fields = [(every, 0)]
+        for block in reversed(blocks):
+            fields += ([([i], 1) for i in reversed(block)] if order.kind in ("lex", "grlex")
+                       else [([i], -1) for i in block])
+            fields += [] if order.kind == "lex" else [(block, 0)]
+        at = [(vs, sign, k * (width + 1)) for k, (vs, sign) in enumerate(fields)]
+        self.top = at[-1][2]
+        var = sorted((vs[0], sign, o) for vs, sign, o in at if sign)
+        self.one = sum(cap << o for _, sign, o in var if sign < 0)
+        self.units = [sum((sign or 1) << o for vs, sign, o in at if i in vs) for i in every]
+        self.places = [(o, cap if sign < 0 else 0) for _, sign, o in var]
+        self.guard = sum(1 << o + width for *_, o in var)
+        self.plus = self.guard - (self.one // cap << width)
+        self.values, self.ones = (self.guard >> width) * cap, sum(1 << o for *_, o in at)
+        self.borrow = (self.ones << width) - self.one // cap
+        # per block: its variables' value bits and the degree fields that sum them
+        self.sums = [(sum(cap << o for i, _, o in var if i in block),
+                      sum(1 << o for vs, sign, o in at if not sign and set(block) <= set(vs)))
+                     for block in blocks]
+
+    def __missing__(self, mono):  # `_packed` sizes the cap to every packed tuple
+        k = self[mono] = self.one + sum(map(mul, mono, self.units))
+        return k
+
+    def unpack(self, k: int) -> tuple:
+        return tuple((k >> o & self.cap) ^ flip for o, flip in self.places)
+
+    def lcm(self, a: int, b: int) -> int:
+        """K(lcm(a, b)): a plus z = max(0, b - a), read per variable from the
+        fields flipped to e_i, where K(1) is cap."""
+        z = ((b ^ self.one) & self.values | self.guard) - ((a ^ self.one) & self.values)
+        z &= (ge := z & self.guard) - (ge >> self.width)
+        k, degree = a + z - 2 * (z & self.one), a & self.cap
+        for block, unit in self.sums:
+            degree += (s := (z & block) * self.ones >> self.top & self.cap)
+            k += s * unit
+        if degree > self.cap:
+            raise OverflowError
+        return k
+
+
+def _packed(run, ring, order: MonomialOrder, polys: list[Polynomial]):
+    """run(K) under the packing of (ring, order) whose cap holds twice the largest
+    degree of `polys`, and again under double the width while a degree past the
+    cap raises OverflowError."""
+    width = max(1, 2 * max((max(map(sum, p.terms)) for p in polys if p.terms), default=0)).bit_length()
+    while True:
+        try:
+            return run(_Packing(ring, order, width))
+        except OverflowError:
+            width *= 2
+
+
+def _cleared(f: Polynomial, K: _Packing) -> tuple[dict, int]:
+    """(terms, d): integer terms equal to d * f for the least such d, packed by K."""
     d = lcm(*(c.denominator for c in f.terms.values()))
     if d == 1:
-        return {m: c.numerator for m, c in f.terms.items()}, 1
-    return {m: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
+        return {K[m]: c.numerator for m, c in f.terms.items()}, 1
+    return {K[m]: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
 
-def _entry(terms: dict, keyf) -> tuple | None:
-    """The basis entry (terms, lt, lc) of integer `terms`, made primitive
-    with positive leading coefficient lc at leading monomial lt; None for
-    zero."""
+def _entry(terms: dict, K: _Packing) -> tuple | None:
+    """The basis entry (terms, lt, lc, div, top) of integer `terms`: primitive, lc > 0 at
+    the leading monomial lt, div = lt - K.borrow, top its largest degree; None for zero."""
     if not terms:
         return None
     cont = gcd(*terms.values())
-    lt = max(terms, key=keyf)
+    lt = max(terms)
     if terms[lt] < 0:
         cont = -cont
     if cont != 1:
         terms = {m: v // cont for m, v in terms.items()}
-    return terms, lt, terms[lt]
+    top = lt & K.cap if K.graded else max(map(K.cap.__and__, terms))
+    return terms, lt, terms[lt], lt - K.borrow, top
 
 
-class _KeyCache(dict):
-    """Monomial -> order key, each key computed once on first lookup."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-
-    def __missing__(self, mono):
-        k = self[mono] = self.key(mono)
-        return k
-
-
-def _keyf(order: MonomialOrder, ring) -> Callable[[tuple], tuple]:
-    """`order.key_func(ring)` behind a fresh cache, for one call of the
-    engine: a bound dict lookup, so that `max(terms, key=keyf)` stays in C
-    once each monomial has been seen."""
-    return _KeyCache(order.key_func(ring)).__getitem__
-
-
-class _Budget:
-    __slots__ = ("reductions_left",)
-
-    def __init__(self, max_reductions):
-        self.reductions_left = max_reductions
-
-    def step(self):
-        if self.reductions_left is not None:
-            self.reductions_left -= 1
-            if self.reductions_left < 0:
-                raise BudgetExceededError("reduction budget exceeded")
-
-
-def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> tuple[dict, int]:
-    """Full pseudo-reduction of `terms` by `basis` entries (terms, lt, lc).
+def _reduce_int(terms: dict, basis: Sequence[tuple], K: _Packing, budget) -> tuple[dict, int]:
+    """Full pseudo-reduction of `terms` by `basis` entries (terms, lt, lc, div, top).
 
     Returns (remainder, scale): the remainder is `scale` times the remainder
     of the division over Q of `terms` by the same divisors in the same order.
+    Each step takes one item of `budget`, and one past its end is refused.
     """
+    cap, guard, plus = K.cap, K.guard, K.plus
     work = dict(terms)
     remainder: dict = {}
     scale = 1
     while work:
-        budget.step()
-        lt = max(work, key=keyf)
+        if not next(budget, False):
+            raise BudgetExceededError("reduction budget exceeded")
+        lt = max(work)
         c = work.pop(lt)
-        for g_terms, g_lt, g_lc in basis:
-            if all(map(le, g_lt, lt)):
+        for g_terms, g_lt, g_lc, g_div, g_top in basis:
+            if (lt - g_div) & guard == plus:
+                if g_top + (lt & cap) - (g_lt & cap) > cap:
+                    raise OverflowError
                 d = gcd(c, g_lc)
                 a = g_lc // d
                 b = c // d
@@ -139,11 +183,11 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> t
                     work = {m: v * a for m, v in work.items()}
                     remainder = {m: v * a for m, v in remainder.items()}
                     scale *= a
-                shift = tuple(map(sub, lt, g_lt))
+                shift = lt - g_lt
                 for m, v in g_terms.items():
                     if m == g_lt:
                         continue
-                    mm = tuple(map(add, m, shift))
+                    mm = m + shift
                     acc = work.get(mm, 0) - b * v
                     if acc:
                         work[mm] = acc
@@ -155,18 +199,17 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], keyf, budget: _Budget) -> t
     return remainder, scale
 
 
-def _spoly_int(f: tuple, g: tuple) -> dict:
-    """Integer S-polynomial of two (terms, lt, lc) entries."""
-    f_terms, f_lt, f_lc = f
-    g_terms, g_lt, g_lc = g
-    lcm = tuple(map(max, f_lt, g_lt))
+def _spoly_int(f: tuple, g: tuple, lcm: int, K: _Packing) -> dict:
+    """Integer S-polynomial of two entries whose leading monomials have the lcm `lcm`."""
+    f_terms, f_lt, f_lc, _, f_top = f
+    g_terms, g_lt, g_lc, _, g_top = g
+    if max(f_top - (f_lt & K.cap), g_top - (g_lt & K.cap)) + (lcm & K.cap) > K.cap:
+        raise OverflowError
     d = gcd(f_lc, g_lc)
-    cf = g_lc // d
-    cg = -(f_lc // d)
-    sf = tuple(map(sub, lcm, f_lt))
-    sg = tuple(map(sub, lcm, g_lt))
-    pairs = [(tuple(map(add, m, sf)), cf * v) for m, v in f_terms.items()]
-    pairs += [(tuple(map(add, m, sg)), cg * v) for m, v in g_terms.items()]
+    cf, cg = g_lc // d, -(f_lc // d)
+    sf, sg = lcm - f_lt, lcm - g_lt
+    pairs = [(m + sf, cf * v) for m, v in f_terms.items()]
+    pairs += [(m + sg, cg * v) for m, v in g_terms.items()]
     return _collect(pairs)
 
 
@@ -204,6 +247,10 @@ def buchberger(
     max(sugar f - deg lt f, sugar g - deg lt g) + deg lcm, and its
     remainder inherits it.
 
+    A degree past the cap of the packing restarts the run under double the
+    width; the run is deterministic, so its pairs, reductions and result are
+    those of a first run wide enough.
+
     Raises BudgetExceededError when a configured cap is hit; never returns a
     partial answer.  `max_pairs` counts the S-pairs reduced, not those
     pruned; `max_reductions` counts the steps of every reduction of an input
@@ -219,23 +266,27 @@ def buchberger(
             raise ValueError("cannot infer the ring from an empty generator list")
         ring = generators[0].ring
     ring = tuple(ring)
-    generators = [_cleared(g.to_ring(ring))[0] for g in generators if not g.is_zero()]
-    if order is None:
-        order = grevlex()
-    keyf = _keyf(order, ring)
+    generators = [g.to_ring(ring) for g in generators if not g.is_zero()]
+    return _packed(lambda K: _basis(generators, K, max_pairs, max_reductions),
+                   ring, order or grevlex(), generators)
+
+
+def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions) -> list[Polynomial]:
+    """The body of `buchberger` under the packing K, which may overflow."""
+    cap, guard, plus = K.cap, K.guard, K.plus
     # one primitive, sign-normalised entry per class of scalar multiples
     classes: dict = {}
-    for terms in generators:
-        entry = _entry(terms, keyf)
+    for g in generators:
+        entry = _entry(_cleared(g, K)[0], K)
         classes.setdefault(frozenset(entry[0].items()), entry)
-    entries = sorted(classes.values(), key=lambda e: (len(e[0]), max(map(sum, e[0]))))
-    budget = _Budget(max_reductions)
+    entries = sorted(classes.values(), key=lambda e: (len(e[0]), e[4]))
+    budget = itertools.repeat(True) if max_reductions is None else itertools.repeat(True, max_reductions)
 
     basis: list[tuple] = []
     sugars: list[int] = []  # the sugar of each basis entry
     # pair queue: smallest sugar first, then smallest lcm in the active order
     heap: list = []
-    live: dict[tuple[int, int], tuple] = {}  # queued pair -> lcm, until pruned
+    live: dict[tuple[int, int], int] = {}  # queued pair -> lcm, until pruned
     redundant: set[int] = set()  # entries whose lt a later lt divides
     counter = itertools.count()
     processed = 0
@@ -243,75 +294,75 @@ def buchberger(
     def insert(entry: tuple, sugar: int):
         """Add `entry` to the basis and queue its S-pairs, pruned by the
         Gebauer-Moeller update."""
-        h_lt = entry[1]
+        h_lt, h_div = entry[1], entry[3]
         # a live pair whose lcm lt(h) divides has a chain through h, unless
         # a side pair with h has the same lcm
         for (i, j), lcm in list(live.items()):
-            if (all(map(le, h_lt, lcm))
-                    and lcm != tuple(map(max, basis[i][1], h_lt))
-                    and lcm != tuple(map(max, basis[j][1], h_lt))):
+            if ((lcm - h_div) & guard == plus
+                    and lcm != K.lcm(basis[i][1], h_lt)
+                    and lcm != K.lcm(basis[j][1], h_lt)):
                 del live[i, j]
         # one new pair per lcm; None marks an lcm of a coprime pair, whose
         # S-polynomial reduces to zero, and so settles its whole class.  An
         # entry whose lt a later lt divides forms no more pairs: a chain
         # through the later entry covers them.
-        new_lcms: dict[tuple, int | None] = {}
-        for k, (_, g_lt, _) in enumerate(basis):
+        new_lcms: dict[int, int | None] = {}
+        for k, (_, g_lt, *_) in enumerate(basis):
             if k in redundant:
                 continue
-            if all(map(le, h_lt, g_lt)):
+            if (g_lt - h_div) & guard == plus:
                 redundant.add(k)
-            lcm = tuple(map(max, g_lt, h_lt))
-            if lcm == tuple(map(add, g_lt, h_lt)):
+            lcm = K.lcm(g_lt, h_lt)
+            if lcm & cap == (g_lt & cap) + (h_lt & cap):
                 new_lcms[lcm] = None
             else:
                 new_lcms.setdefault(lcm, k)
         new = len(basis)
         basis.append(entry)
         sugars.append(sugar)
-        h_rest = sugar - sum(h_lt)
+        h_rest = sugar - (h_lt & cap)
         # a new lcm properly divided by another has a chain through h; only
         # a kept lcm of lower degree can divide it properly
-        kept: list[tuple] = []
-        by_degree = sorted((sum(lcm), lcm, k) for lcm, k in new_lcms.items())
+        kept: list[int] = []
+        by_degree = sorted((lcm & cap, lcm, k) for lcm, k in new_lcms.items())
         for degree, group in itertools.groupby(by_degree, key=itemgetter(0)):
             group = [(lcm, k) for _, lcm, k in group
-                     if not any(all(map(le, m, lcm)) for m in kept)]
-            kept += [lcm for lcm, _ in group]
+                     if not any((lcm - m) & guard == plus for m in kept)]
+            kept += [lcm - K.borrow for lcm, _ in group]
             for lcm, k in group:
                 if k is not None:
-                    pair_sugar = max(sugars[k] - sum(basis[k][1]), h_rest) + degree
+                    pair_sugar = max(sugars[k] - (basis[k][1] & cap), h_rest) + degree
                     live[k, new] = lcm
-                    heapq.heappush(heap, (pair_sugar, keyf(lcm), next(counter), k, new))
+                    heapq.heappush(heap, (pair_sugar, lcm, next(counter), k, new))
 
     for entry in entries:
         if basis:
-            entry = _entry(_reduce_int(entry[0], basis, keyf, budget)[0], keyf)
+            entry = _entry(_reduce_int(entry[0], basis, K, budget)[0], K)
         if entry is None:
             continue
         old = len(basis)
-        insert(entry, max(map(sum, entry[0])))
+        insert(entry, entry[4])
         while heap:
-            sugar, _, _, i, j = heapq.heappop(heap)
+            sugar, lcm, _, i, j = heapq.heappop(heap)
             if live.pop((i, j), None) is None:
                 continue  # pruned after it was queued
             if max_pairs is not None:
                 processed += 1
                 if processed > max_pairs:
                     raise BudgetExceededError("pair budget exceeded")
-            s = _spoly_int(basis[i], basis[j])
-            entry = _entry(_reduce_int(s, basis, keyf, budget)[0], keyf)
+            s = _spoly_int(basis[i], basis[j], lcm, K)
+            entry = _entry(_reduce_int(s, basis, K, budget)[0], K)
             if entry is not None:
                 insert(entry, sugar)
-        basis[:] = _interreduce(basis, old, redundant, keyf)
+        basis[:] = _interreduce(basis, old, redundant, K)
         redundant.clear()
-        sugars[:] = [max(map(sum, terms)) for terms, _, _ in basis]
+        sugars[:] = [top for *_, top in basis]
 
-    return [Polynomial._from_terms(ring, {m: Fraction(v, lc) for m, v in terms.items()})
-            for terms, _, lc in basis]
+    return [Polynomial._from_terms(K.ring, {K.unpack(m): Fraction(v, lc) for m, v in terms.items()})
+            for terms, _, lc, _, _ in basis]
 
 
-def _interreduce(basis: list[tuple], old: int, redundant: set[int], keyf) -> list[tuple]:
+def _interreduce(basis: list[tuple], old: int, redundant: set[int], K: _Packing) -> list[tuple]:
     """The reduced basis of `basis`, primitive with positive leading
     coefficients, in increasing order of lt.  The first `old` entries are
     reduced and each later one is reduced by those before it, so the entries
@@ -319,14 +370,14 @@ def _interreduce(basis: list[tuple], old: int, redundant: set[int], keyf) -> lis
     reduces each by the reduced ones of smaller lt, the only lts that can
     divide a term below its own, but keeps an old entry none of whose terms
     a new lt divides."""
-    new_lts = [basis[k][1] for k in range(old, len(basis)) if k not in redundant]
+    new_divs = [basis[k][3] for k in range(old, len(basis)) if k not in redundant]
     reduced: list[tuple] = []
-    for k in sorted(set(range(len(basis))) - redundant, key=lambda k: keyf(basis[k][1])):
+    for k in sorted(set(range(len(basis))) - redundant, key=lambda k: basis[k][1]):
         terms = basis[k][0]
-        if k < old and not any(all(map(le, lt, m)) for m in terms for lt in new_lts):
+        if k < old and not any((m - div) & K.guard == K.plus for m in terms for div in new_divs):
             reduced.append(basis[k])
         else:
-            reduced.append(_entry(_reduce_int(terms, reduced, keyf, _Budget(None))[0], keyf))
+            reduced.append(_entry(_reduce_int(terms, reduced, K, itertools.repeat(True))[0], K))
     return reduced
 
 
@@ -335,12 +386,16 @@ def _interreduce(basis: list[tuple], old: int, redundant: set[int], keyf) -> lis
 
 def _remainders(fs, G, order: MonomialOrder, ring) -> list[tuple[dict, int]]:
     """(r, d) for each f in `fs`: the remainder of f by G in `ring`, as in
-    `normal_form`, is r/d with integer terms r.  G is cleared and keyed once."""
-    keyf = _keyf(order, ring)
-    divisors = [_entry(_cleared(g.to_ring(ring))[0], keyf) for g in G if not g.is_zero()]
-    reduced = [(_reduce_int(terms, divisors, keyf, _Budget(None)), d)
-               for terms, d in map(_cleared, fs)]
-    return [(r, d * scale) for (r, scale), d in reduced]
+    `normal_form`, is r/d with integer terms r.  G is cleared and packed once."""
+    fs, G = list(fs), [g.to_ring(ring) for g in G if not g.is_zero()]
+
+    def run(K: _Packing) -> list[tuple[dict, int]]:
+        divisors = [_entry(_cleared(g, K)[0], K) for g in G]
+        reduced = [(_reduce_int(terms, divisors, K, itertools.repeat(True)), d)
+                   for terms, d in (_cleared(f, K) for f in fs)]
+        return [({K.unpack(m): v for m, v in r.items()}, d * scale) for (r, scale), d in reduced]
+
+    return _packed(run, ring, order, fs + G)
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | None = None) -> Polynomial:
@@ -370,11 +425,8 @@ def eliminate(
     basis = buchberger(I.generators, elimination_order(drop), ring,
                        max_pairs=max_pairs, max_reductions=max_reductions)
     dropped_idx = [ring.index(v) for v in drop]
-    kept_polys = []
-    for g in basis:
-        if all(all(m[i] == 0 for i in dropped_idx) for m in g.terms):
-            kept_polys.append(g.to_ring(keep))
-    return Ideal(keep, kept_polys)
+    return Ideal(keep, [g.to_ring(keep) for g in basis
+                        if not any(m[i] for m in g.terms for i in dropped_idx)])
 
 
 def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None) -> bool:
@@ -383,8 +435,6 @@ def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None
         f = f.to_ring(I.ring)
     if f.is_zero():
         return True
-    if order is None:
-        order = grevlex()
     basis = buchberger(I.generators, order, I.ring)
     return normal_form(f, basis, order).is_zero()
 
@@ -393,8 +443,6 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None) -> bool:
     """True iff the two ideals coincide (compared via reduced bases)."""
     if I.ring != J.ring:
         raise ValueError(f"ideals in different rings: {I.ring} vs {J.ring}")
-    if order is None:
-        order = grevlex()
     return buchberger(I.generators, order, I.ring) == buchberger(J.generators, order, J.ring)
 
 

@@ -2,8 +2,9 @@
 sympy and the other test extras serving only as references in the tests,
 it keeps no private helper that nothing calls, one helper alone pauses the
 cyclic garbage collector, and one pass in groebner divides by a basis, with
-no substitution.  Neither the engine nor the tests read the
-environment, so the suite runs one configuration."""
+no substitution, on packed-int monomials and no tuple arithmetic.  Neither
+the engine nor the tests read the environment, so the suite runs one
+configuration."""
 
 import ast
 import sys
@@ -162,6 +163,41 @@ def test_engine_divides_by_a_basis_in_one_pass():
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert references(sources, {"substitute"}) == []
     assert references(sources, {"_reduce_int"}) == [("groebner.py", "_reduce_int")]
+
+
+def tuple_arithmetic(source: str, functions: set[str]) -> list[tuple[str, int, str]]:
+    """(function, line, what), sorted, of every `tuple(...)` and `map(...)`
+    call and every `key=` argument in the module-level defs `functions` of
+    `source`."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            if isinstance(call.func, ast.Name) and call.func.id in ("tuple", "map"):
+                found.append((node.name, call.lineno, call.func.id))
+            found += [(node.name, call.lineno, "key=") for kw in call.keywords if kw.arg == "key"]
+    return sorted(found)
+
+
+def test_tuple_arithmetic_fixture():
+    source = ("def f(m, s):\n    return tuple(map(add, m, s))\n"
+              "def g(w):\n    return max(w, key=len)\n"
+              "def h(m):\n    return tuple(m)\n")
+    assert tuple_arithmetic(source, {"f", "g"}) == [
+        ("f", 2, "map"), ("f", 2, "tuple"), ("g", 4, "key=")]
+
+
+def test_engine_reduces_packed_monomials():
+    # the division and S-polynomial steps shift, compare and test packed
+    # ints, and no order-key cache is left beside the packing
+    source = (ENGINE / "groebner.py").read_text()
+    assert tuple_arithmetic(source, {"_reduce_int", "_spoly_int"}) == []
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert defined & {"_KeyCache", "_keyf"} == set()
 
 
 ENVIRONMENT = {"environ", "getenv"}

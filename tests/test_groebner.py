@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import add, le
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from nashblowup import groebner
 from nashblowup.groebner import (
     BudgetExceededError,
     Ideal,
-    _keyf,
     buchberger,
     eliminate,
     ideal_equal,
@@ -238,6 +238,20 @@ def test_buchberger_matches_plain_reference(gens, order):
     # limit_ideal too, which sympy cannot check
     assert buchberger(gens, ALL_ORDERS[order], RING3) == \
         reference_basis(gens, ALL_ORDERS[order], RING3)
+
+
+def test_buchberger_restarts_wider_when_degrees_outgrow_the_packing(monkeypatch):
+    # degree 3 in, so a cap of 7; the lex basis holds x - z^9, which needs
+    # the width doubled, and the restart returns the reference basis
+    packing = groebner._Packing
+    widths = []
+    monkeypatch.setattr(groebner, "_Packing", lambda ring, order, width: (
+        widths.append(width) or packing(ring, order, width)))
+    gens = [P("x - y^3", RING3), P("y - z^3", RING3)]
+    basis = buchberger(gens, lex(), RING3)
+    assert basis == reference_basis(gens, lex(), RING3)
+    assert max(g.total_degree() for g in basis) > 7
+    assert widths == [3, 6]
 
 
 def test_buchberger_edge_cases():
@@ -495,20 +509,31 @@ def test_coefficient_arithmetic_stays_exact():
     assert normal_form(g, basis, lex()).is_zero()
 
 
-# -- order keys ------------------------------------------------------------
+# -- packed monomials --------------------------------------------------------
 
 
-def test_cached_order_key_orders_like_key_func():
-    rng = random.Random(15)
+def test_packing_orders_multiplies_divides_and_unpacks_like_tuples():
+    # random monomials up to the packing's degree cap, under the four orders
+    rng = random.Random(28)
     ring = ("t", "x", "y", "z")
     for order in ALL_ORDERS.values():
         key = order.key_func(ring)
-        keyf = _keyf(order, ring)
-        for _ in range(40):
-            monos = [tuple(rng.randint(0, 3) for _ in ring)
-                     for _ in range(rng.randint(1, 12))]
-            # the second pass reads every key from the cache
-            for _ in range(2):
-                assert max(monos, key=keyf) == max(monos, key=key)
-                assert sorted(monos, key=keyf) == sorted(monos, key=key)
-                assert [keyf(m) for m in monos] == [key(m) for m in monos]
+        for width in (1, 2, 3, 5):
+            K = groebner._Packing(ring, order, width)
+
+            def mono(cap):
+                cut = sorted(rng.randint(0, cap) for _ in ring[1:])
+                return tuple(b - a for a, b in zip([0] + cut, cut + [cap]))
+
+            for _ in range(60):
+                a, b = mono(rng.randint(0, K.cap)), mono(rng.randint(0, K.cap))
+                assert K.unpack(K[a]) == a
+                assert (K[a] < K[b]) == (key(a) < key(b))
+                assert ((K[b] - (K[a] - K.borrow)) & K.guard == K.plus) == all(map(le, a, b))
+                if sum(a) + sum(b) <= K.cap:
+                    assert K[a] + K[b] - K.one == K[tuple(map(add, a, b))]
+                if sum(map(max, a, b)) <= K.cap:
+                    assert K.lcm(K[a], K[b]) == K[tuple(map(max, a, b))]
+                else:
+                    with pytest.raises(OverflowError):
+                        K.lcm(K[a], K[b])

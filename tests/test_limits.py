@@ -245,10 +245,10 @@ def test_degree_one_hands_rref_the_remainders_in_integers(text, ring, monkeypatc
 
 
 def test_degree_one_keys_the_order_once_per_basis(monkeypatch):
-    # two bases and one pass over all lambda minors, each keyed once
-    keyf = groebner._keyf
+    # two bases and one pass over all lambda minors, each under one packing
+    packing = groebner._Packing
     calls = []
-    monkeypatch.setattr(groebner, "_keyf", lambda *args: calls.append(args) or keyf(*args))
+    monkeypatch.setattr(groebner, "_Packing", lambda *args: calls.append(args) or packing(*args))
     for text, ring, size in ((CUSP, RING2, 10), ("x*y - z^2", ("x", "y", "z"), 126)):
         F = P(text, ring)
         deltas = [delta for _, delta in maximal_minors(F, 2)]
