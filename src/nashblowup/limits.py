@@ -222,14 +222,15 @@ def _factors(g: Polynomial) -> list[Polynomial] | None:
     return None
 
 
-def _linear_row(g: Polynomial) -> list[Fraction] | None:
-    """The coefficients of a linear form, or None when g has a constant term
-    (its zero set is affine, not a linear subspace)."""
+def _linear_row(g: Polynomial) -> list[int] | None:
+    """The coefficients of a linear form times the lcm of their denominators,
+    ints spanning the same line, or None when g has a constant term (its zero
+    set is affine, not a linear subspace)."""
     if g.constant_term():
         return None
-    row = [Fraction(0)] * g.num_vars
+    d, row = math.lcm(*(c.denominator for c in g.terms.values())), [0] * g.num_vars
     for mono, c in g.terms.items():
-        row[mono.index(1)] = c
+        row[mono.index(1)] = c.numerator * (d // c.denominator)
     return row
 
 

@@ -12,9 +12,10 @@ Products require an explicit '*'; coefficients are exact rationals.  The text
 becomes one token list, closed by an eof token, which one recursive descent
 reads with one cursor.  A ParseError, with position and expected text, names
 an unexpected character, trailing input, a malformed exponent, a malformed or
-zero denominator, an integer literal too long for int(), a power past the
-MAX_POWER_PRODUCTS or MAX_POWER_BITS cap, an unknown variable, unbalanced
-parentheses, an unexpected token or an unexpected end of input.
+zero denominator, an integer literal too long for int(), a power or a
+product past the MAX_POWER_PRODUCTS or MAX_POWER_BITS cap, an unknown
+variable, unbalanced parentheses, an unexpected token or an unexpected end
+of input.
 """
 
 from __future__ import annotations
@@ -43,8 +44,17 @@ NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^])|(\S))")
 _KINDS = (None, "int", "name", "op", "bad")  # by the number of the token's group
 RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")  # a rational literal with its sign, as in a point
-MAX_POWER_PRODUCTS = 500_000  # the cap on a power's term products; (x+y)^1000 forms 415,666
-MAX_POWER_BITS = 14_284  # the cap on the coefficient bits k*b of poly^k; 2^14,284 has 4,300 digits
+MAX_POWER_PRODUCTS = 500_000  # term products of a power or a product; (x+y)^1000 forms 415,666
+MAX_POWER_BITS = 14_284  # bits k*b of poly^k, b1 + b2 of a product; 2^14,284 has 4,300 digits
+
+
+def _bits(poly: Polynomial) -> int:
+    """b such that poly is (sum a_m*m)/den with integer a_m, sum |a_m| <= 2^b and
+    den <= 2^b: the numerators of a product of such factors are at most the
+    product of the sums and its denominators divide the product of the den."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    size = sum(abs(c.numerator) * den // c.denominator for c in poly.terms.values())
+    return max(size - 1, den - 1, 0).bit_length()
 
 
 def _power_products(t: int, k: int) -> int:
@@ -108,7 +118,14 @@ def parse_polynomial(text: str, ring) -> Polynomial:
         negate = accept("-")
         poly = factor()
         while accept("*"):
-            poly = poly * factor()
+            pos, rhs = tokens[i - 1][2], factor()
+            if len(poly.terms) * len(rhs.terms) > MAX_POWER_PRODUCTS:
+                raise ParseError(pos, f"product of {len(poly.terms)} and {len(rhs.terms)} terms",
+                                 f"at most {MAX_POWER_PRODUCTS:,} term products")
+            if (b := _bits(poly) + _bits(rhs)) > MAX_POWER_BITS:
+                raise ParseError(pos, f"product of {b} coefficient bits",
+                                 f"at most {MAX_POWER_BITS:,} coefficient bits")
+            poly = poly * rhs
         return -poly if negate else poly
 
     def factor() -> Polynomial:
@@ -120,11 +137,7 @@ def parse_polynomial(text: str, ring) -> Polynomial:
             if _power_products(len(poly.terms), k := integer(value, pos)) > MAX_POWER_PRODUCTS:
                 raise ParseError(tokens[i - 2][2], f"power {value} of {len(poly.terms)} terms",
                                  f"at most {MAX_POWER_PRODUCTS:,} term products")
-            # poly is (sum a_m*m)/den with integer a_m: the numerators of poly^k
-            # are at most size^k, its denominators divide den^k, both <= 2^(k*b)
-            den = math.lcm(*(c.denominator for c in poly.terms.values()))
-            size = sum(abs(c.numerator) * den // c.denominator for c in poly.terms.values())
-            if k * (b := max(size - 1, den - 1, 0).bit_length()) > MAX_POWER_BITS:
+            if k * (b := _bits(poly)) > MAX_POWER_BITS:
                 raise ParseError(tokens[i - 2][2], f"power {value} of {b}-bit coefficients",
                                  f"at most {MAX_POWER_BITS:,} coefficient bits")
             poly = poly ** k

@@ -52,6 +52,9 @@ CASES = {
     "jac-long-literal": ("jac", "--poly", "x+" + "9" * 5000, "--vars", "x,y", "-n", "1", *JSON),
     "jac-power-cap": ("jac", "--poly", "(x+y)^2222", "--vars", "x,y", "-n", "1", *JSON),
     "jac-power-bits": ("jac", "--poly", "3^10000000", "--vars", "x,y", "-n", "1", *JSON),
+    "jac-product-bits": ("jac", "--poly", "3^5000*3^5000*x", "--vars", "x,y", "-n", "1", *JSON),
+    "jac-product-cap": ("jac", "--poly", "(x+y+1)^37*(x+y+1)^37", "--vars", "x,y", "-n", "1",
+                        *JSON),
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
     # singular

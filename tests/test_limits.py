@@ -258,6 +258,23 @@ def test_degree_one_keys_the_order_once_per_basis(monkeypatch):
         assert len(calls) == 3
 
 
+def test_plane_rows_reach_linalg_as_ints(monkeypatch):
+    # describe_planes hands linalg each linear form as a row of ints; the
+    # only Fraction rows linalg meets on the five curves are ones it
+    # returned itself, kernel vectors and rref rows of the planes found
+    handed, returned = [], []
+    cleared, kernel_basis, rref = linalg._cleared, linalg.kernel_basis, linalg.rref
+    monkeypatch.setattr(linalg, "_cleared", lambda rows: handed.extend(rows) or cleared(rows))
+    monkeypatch.setattr(linalg, "kernel_basis", lambda *args, **kwargs: (
+        returned.extend(out := kernel_basis(*args, **kwargs)) or out))
+    monkeypatch.setattr(linalg, "rref", lambda rows: returned.extend((out := rref(rows))[0]) or out)
+    for text in CURVES:
+        limit_ideal(P(text, RING2), 2, (0, 0))
+    fractional = [row for row in handed if any(isinstance(c, Fraction) for c in row)]
+    assert len(handed) > 100 and len(fractional) < 20
+    assert all(list(row) in returned for row in fractional)
+
+
 # -- oracles ----------------------------------------------------------------
 
 

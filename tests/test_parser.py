@@ -111,6 +111,12 @@ PARSE_ERRORS = {
     # (1/3*x)^7142, of 14,284 bits, parses
     "power of a denominator": ("(1/3*x)^7143", 7, "power 7143 of 2-bit coefficients",
                                "at most 14,284 coefficient bits"),
+    # refused at the '*' before multiplying: 2 * 7,925 bits, past what
+    # format_polynomial can print, and 741^2 = 549,081 term products
+    "product of coefficients": ("3^5000*3^5000*x", 6, "product of 15850 coefficient bits",
+                                "at most 14,284 coefficient bits"),
+    "product of terms": ("(x+y+1)^37*(x+y+1)^37", 10, "product of 741 and 741 terms",
+                         "at most 500,000 term products"),
 }
 
 
