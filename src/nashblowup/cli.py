@@ -208,12 +208,7 @@ def cmd_hilbert(args) -> int:
         if args.vars is not None:
             names = _parse_vars(args.vars)
         else:
-            seen: list[str] = []
-            for chunk in args.monomials.split(","):
-                for tok in chunk.replace("^", " ").replace("*", " ").split():
-                    if tok.isidentifier() and tok not in seen:
-                        seen.append(tok)
-            names = tuple(sorted(seen))
+            names = tuple(sorted(set(NAME.findall(args.monomials))))
             if not names:
                 raise InputError("cannot infer variables from --monomials")
         exps = []

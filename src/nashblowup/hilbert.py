@@ -29,6 +29,8 @@ class MonomialIdeal:
     generators: tuple[mi.MultiIndex, ...]
 
     def __init__(self, s: int, generators):
+        if s < 1:
+            raise ValueError("need at least one variable")
         gens = sorted(set(tuple(g) for g in generators), key=mi.canonical_key)
         for g in gens:
             if len(g) != s:

@@ -15,6 +15,7 @@ So the matrix is a table of Taylor coefficients read through alpha - beta:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import math
@@ -24,8 +25,8 @@ from itertools import combinations
 
 from . import linalg
 from . import multiindex as mi
-from .groebner import BudgetExceededError, Ideal, buchberger, normal_form
-from .polynomial import Polynomial, _collect, grevlex, make_point
+from .groebner import BudgetExceededError, Ideal, _Packing, buchberger, normal_form
+from .polynomial import Polynomial, _collect, grevlex, lex, make_point
 
 MAX_MINORS = 1_000_000  # the cap on a minor table's size; x*y - z^4 at n=3 has 92,378
 
@@ -185,30 +186,29 @@ def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
 # -- minors --------------------------------------------------------------------
 
 
-def _collector_paused(fn):
-    """Run fn with CPython's cyclic garbage collector paused, restoring on
-    exit the state it had on entry: a nested call, or a call made with the
-    collector already off, leaves it as it was, and so does an exception.
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic garbage collector, restoring on exit the state
+    it had on entry: a nested pause, or one made with the collector already
+    off, leaves it as it was, and so does an exception.  Applied to a
+    function as `@_collector_paused()`.
 
     The minor table and the basis built from it are tens of thousands of
     dicts, tuples and Polynomials; each allocation counts towards the next
     collection, and every collection rescans all that survived the last.
     They hold no reference cycles, so reference counting frees them without
     the collector."""
-    @functools.wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
         if enabled:
-            gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
+            gc.enable()
 
 
-@_collector_paused
+@_collector_paused()
 def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynomial]]:
     """All C(N-1, M) maximal minors of the order-n matrix.
 
@@ -222,11 +222,14 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     the matrix; it reads the Taylor table through the cells, converting each
     coefficient once.  The expansion runs on integers: the entries
     are scaled by the common denominator d of their coefficients, and every
-    exponent vector is packed into one int with (M*deg F).bit_length() bits
-    per variable, so that a product of M entries, of degree at most
-    M*deg F, cannot carry from one variable's field into the next and
-    multiplying monomials is adding ints.  Partial products are keyed by the
-    bitmask of their columns.  Each coefficient is divided by d^M at the end.
+    exponent vector is packed by the engine's `groebner._Packing` under lex,
+    with (M*deg F).bit_length() bits per field, so that a product of M
+    entries, of degree at most M*deg F, cannot carry from one field into the
+    next.  Lex, because K(1) = 0 there, so multiplying monomials is adding
+    ints, and because it has the fewest fields, one per variable and one for
+    the degree: at s = n = 3 a monomial fits in 28 bits, a one-digit CPython
+    int, where grevlex needs 35.  Partial products are keyed by the bitmask
+    of their columns.  Each coefficient is divided by d^M at the end.
 
     Runs with the cyclic garbage collector paused (`_collector_paused`):
     the table allocates about one object per term of every minor and makes
@@ -237,14 +240,12 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
         raise BudgetExceededError(f"minors: {count:,} maximal minors, over {MAX_MINORS:,}")
     jac = build(F, n)
     ring = F.ring
-    bits = (M * F.total_degree()).bit_length()
-    shifts = [bits * i for i in range(len(ring))]
+    K = _Packing(ring, lex(), (M * F.total_degree()).bit_length())
     # each Taylor coefficient as +entry and -entry over the common denominator d
     d = math.lcm(*(c.denominator for e in jac.taylor for c in e.terms.values()))
     signed = []
     for e in jac.taylor:
-        plus = [(sum(x << sh for x, sh in zip(m, shifts)), c.numerator * (d // c.denominator))
-                for m, c in e.terms.items()]
+        plus = [(K[m], c.numerator * (d // c.denominator)) for m, c in e.terms.items()]
         signed.append((plus, [(m, -c) for m, c in plus]))
     acc: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in jac.cells:
@@ -274,7 +275,6 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     # back to Polynomials, converting each distinct coefficient and monomial
     # once and freeing each integer minor as it is converted
     scale = d**M
-    field = (1 << bits) - 1
     fractions: dict[int, Fraction] = {}
     monomials: dict[int, tuple[int, ...]] = {}
     zero = Polynomial.zero(ring)
@@ -293,13 +293,13 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
                 frac = fractions[c] = Fraction(c, scale)
             mono = monomials.get(m)
             if mono is None:
-                mono = monomials[m] = tuple((m >> sh) & field for sh in shifts)
+                mono = monomials[m] = K.unpack(m)
             terms[mono] = frac
         table.append((J, Polynomial._from_terms(ring, terms)))
     return table
 
 
-@_collector_paused
+@_collector_paused()
 def nash_ideal(F: Polynomial, n: int) -> Ideal:
     """The ideal generated by the maximal minors, as a reduced basis modulo <F>:
     the nonzero normal forms modulo F, made monic and with duplicates

@@ -282,8 +282,10 @@ def test_hilbert_poly_input_errors_exit_2(capsys):
 
 
 def test_hilbert_rejects_non_monomial(capsys):
+    # the names are inferred from the sum, so it is refused as a sum
     code, _, err = run(capsys, "hilbert", "--monomials", "x+y", "-n", "2")
     assert code == 2
+    assert err == "input error: not a monomial: 'x+y'\n"
 
 
 # -- gb --------------------------------------------------------------------

@@ -120,7 +120,8 @@ CASES = {
     "hilbert-poly-no-vars": ("hilbert", "--poly", "x^3-y^2", "-n", "2", *JSON),
     "hilbert-not-monomial": ("hilbert", "--monomials", "x+y", "--vars", "x,y",
                              "-n", "2", *JSON),
-    "hilbert-no-variables": ("hilbert", "--monomials", "x+y", "-n", "2", *JSON),
+    "hilbert-no-variables": ("hilbert", "--monomials", "1", "-n", "2", *JSON),
+    "hilbert-not-monomial-inferred": ("hilbert", "--monomials", "x+y", "-n", "2", *JSON),
     "hilbert-negative-degree": ("hilbert", "--monomials", "x^2", "-n", "-1", *JSON),
     "hilbert-poly-negative-degree": ("hilbert", *CUSP, "-n", "-1", *JSON),
     "hilbert-zero-poly": ("hilbert", "--poly", "0", "--vars", "x,y", "-n", "2", *JSON),

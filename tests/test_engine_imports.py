@@ -2,7 +2,8 @@
 sympy and the other test extras serving only as references in the tests,
 it keeps no private helper that nothing calls, one helper alone pauses the
 cyclic garbage collector, and one pass in groebner divides by a basis, with
-no substitution, on packed-int monomials and no tuple arithmetic.  Neither
+no substitution, on packed-int monomials and no tuple arithmetic, whose
+`_Packing` is the one bit layout of exponents, the minors' too.  Neither
 the engine nor the tests read the environment, so the suite runs one
 configuration."""
 
@@ -198,6 +199,30 @@ def test_engine_reduces_packed_monomials():
     defined = {node.name for node in ast.walk(ast.parse(source))
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
     assert defined & {"_KeyCache", "_keyf"} == set()
+
+
+def shifted_values(source: str) -> list[tuple[int, str]]:
+    """(line, shifted operand) of every `<<` and `<<=` in `source` that
+    shifts anything but the constant 1, sorted."""
+    shifts = [(node.lineno, node.left if isinstance(node, ast.BinOp) else node.target)
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift)]
+    return sorted((line, ast.unparse(value)) for line, value in shifts
+                  if not (isinstance(value, ast.Constant) and value.value == 1))
+
+
+def test_shifted_values_fixture():
+    source = ("masks = [1 << j for j in range(4)]\nk = sum(x << sh for x, sh in m)\n"
+              "field = (1 << bits) - 1\nk <<= 2\n")
+    assert shifted_values(source) == [(2, "x"), (4, "k")]
+
+
+def test_minors_pack_monomials_with_the_engine():
+    # hjac shifts only 1, for its column bitmasks, and packs exponents by
+    # groebner's _Packing, so groebner alone decides how a monomial is an int
+    source = (ENGINE / "hjac.py").read_text()
+    assert shifted_values(source) == []
+    assert references({"hjac.py": source}, {"_Packing"}) == [("hjac.py", "_Packing")]
 
 
 ENVIRONMENT = {"environ", "getenv"}

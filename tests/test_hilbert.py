@@ -35,6 +35,10 @@ def test_monomial_ideal_rejects_bad_generators():
         MonomialIdeal(2, [(1, 0, 0)])
     with pytest.raises(ValueError):
         MonomialIdeal(2, [(1, -1)])
+    # refused at construction, before graded_dim could recurse over no variables
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            MonomialIdeal(s, [])
 
 
 def test_graded_dim_fixtures():

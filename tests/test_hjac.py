@@ -544,6 +544,22 @@ def test_minors_at_packing_boundaries(text, ring, n, bound):
         assert top.bit_length() == bound.bit_length()
 
 
+@pytest.mark.parametrize("text,n", [
+    ("x*y - z*w", 2),
+    ("1/2*x^4 - 3/5*y*z*w + 2/7*x*y - w^2", 2),
+], ids=["binomial", "rational-quartic"])
+def test_minors_match_dense_determinants_in_four_variables(text, n):
+    # C(14, 5) = 2,002 minors, packed in five lex fields: one per variable and the degree
+    F = P(text, ("x", "y", "z", "w"))
+    jac = build(F, n)
+    table = maximal_minors(F, n)
+    assert [J for J, _ in table] == list(combinations(range(14), 5))
+    sample = table[::47]
+    assert sum(not d.is_zero() for _, d in sample) >= 10
+    for J, d in sample:
+        assert d == dense_minor(jac, J)
+
+
 @pytest.mark.parametrize("text,ring,n", [
     (CUSP, RING2, 2),
     ("3/2*x^3 - 5/7*y^2", RING2, 2),
