@@ -3,7 +3,7 @@
 Every pipeline is exposed as a subcommand with deterministic text or
 structured (JSON) output, so invocations can be recorded as regression
 golden files.  Exit codes: 0 ok, 2 input error, 3 precondition violation,
-4 resource budget exceeded.
+4 resource budget exceeded, a number too long to print included.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from fractions import Fraction
 from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, buchberger
-from .parser import NAME, RATIONAL, ParseError, format_polynomial, parse_polynomial
-from .polynomial import MonomialOrder
+from .parser import NAME, RATIONAL, format_polynomial, format_rational, parse_polynomial
+from .polynomial import MonomialOrder, Polynomial
 
 SCHEMA_VERSION = 1
 
@@ -28,7 +28,7 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -57,6 +57,13 @@ def _parse_point(text: str, s: int) -> tuple[Fraction, ...]:
     return tuple(coords)
 
 
+def _read_input(args) -> tuple[Polynomial, tuple[Fraction, ...] | None]:
+    """F over --vars, then the --point if the command takes one, else None, read in this order."""
+    F = parse_polynomial(args.poly, _parse_vars(args.vars))
+    point = getattr(args, "point", None)
+    return F, None if point is None else _parse_point(point, F.num_vars)
+
+
 def _emit(args, payload: dict, text_lines) -> None:
     """Print the payload as JSON, or the lines that `text_lines()` builds;
     text is built only when it is printed."""
@@ -73,8 +80,7 @@ def _label(alpha) -> str:
 
 
 def cmd_jac(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
+    F, _ = _read_input(args)
     jac = hjac.build(F, args.n)
     rows = [[format_polynomial(e) for e in row] for row in jac.entries]
     _emit(args, {"n": args.n,
@@ -88,11 +94,9 @@ def cmd_jac(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
-    point = _parse_point(args.point, len(names))
+    F, point = _read_input(args)
     rank = hjac.rank_at(F, args.n, point)
-    M, _ = hjac.shape(len(names), args.n)
+    M, _ = hjac.shape(F.num_vars, args.n)
     verdict = "singular" if rank < M else "non-singular"
     _emit(args, {"rank": rank, "full_rank": M, "verdict": verdict},
           lambda: [f"rank {rank} of {M}: {verdict}"])
@@ -100,18 +104,15 @@ def cmd_singular(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
-    point = _parse_point(args.point, len(names))
-    basis = hjac.tangent_space(F, args.n, point)
-    _emit(args, {"dim": len(basis),
-                 "basis": [[str(c) for c in v] for v in basis]},
-          lambda: [f"dim T^{args.n} = {len(basis)}"] + [_vector(v) for v in basis])
+    F, point = _read_input(args)
+    basis = _vector_texts(hjac.tangent_space(F, args.n, point))
+    _emit(args, {"dim": len(basis), "basis": basis},
+          lambda: [f"dim T^{args.n} = {len(basis)}"] + [f"({', '.join(v)})" for v in basis])
     return EXIT_OK
 
 
-def _vector(v) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
+def _vector_texts(vectors) -> list[list[str]]:
+    return [[format_rational(c) for c in v] for v in vectors]
 
 
 def _minor_entries(table, names=()) -> list[dict]:
@@ -130,8 +131,7 @@ def _minor_lines(entries) -> list[str]:
 
 
 def cmd_minors(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
+    F, _ = _read_input(args)
     table = hjac.maximal_minors(F, args.n)
     entries = _minor_entries(table)
     _emit(args, {"count": len(table), "minors": entries},
@@ -140,8 +140,7 @@ def cmd_minors(args) -> int:
 
 
 def cmd_nashideal(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
+    F, _ = _read_input(args)
     # the ideal first: its own minor table is freed before this one is built
     ideal = hjac.nash_ideal(F, args.n)
     table = hjac.maximal_minors(F, args.n)
@@ -153,9 +152,7 @@ def cmd_nashideal(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    names = _parse_vars(args.vars)
-    F = parse_polynomial(args.poly, names)
-    center = _parse_point(args.point, len(names))
+    F, center = _read_input(args)
     try:
         result = limits.limit_ideal(
             F, args.n, center, max_pairs=args.max_pairs, max_reductions=args.max_reductions)
@@ -174,6 +171,7 @@ def cmd_limits(args) -> int:
     oracle = limits.containment_oracle(result)
     gens = [format_polynomial(g) for g in result.generators]
     entries = _minor_entries(result.minors, result.u_ring)
+    planes = None if result.planes is None else [_vector_texts(plane) for plane in result.planes]
 
     def lines():
         yield f"lambda size {result.lambda_size}"
@@ -181,13 +179,11 @@ def cmd_limits(args) -> int:
         yield f"limit ideal (block order): {len(gens)} generators"
         yield from ("  " + g for g in gens)
         yield f"containment oracle: {'pass' if oracle else 'FAIL'}"
-        if result.planes is None:
+        if planes is None:
             yield "planes: not reported (generators outside supported patterns)"
         else:
-            yield f"planes: {len(result.planes)}"
-            for plane in result.planes:
-                for v in plane:
-                    yield "  " + _vector(v)
+            yield f"planes: {len(planes)}"
+            yield from (f"  ({', '.join(v)})" for plane in planes for v in plane)
 
     _emit(args, {"status": "ok",
                  "lambda_size": result.lambda_size,
@@ -195,9 +191,7 @@ def cmd_limits(args) -> int:
                  "generators": gens,
                  "oracle": oracle,
                  "order": "block",
-                 "planes": None if result.planes is None else
-                 [[[str(c) for c in v] for v in plane]
-                  for plane in result.planes]}, lines)
+                 "planes": planes}, lines)
     return EXIT_OK
 
 
@@ -220,12 +214,12 @@ def cmd_hilbert(args) -> int:
         value = hilbert_mod.graded_dim(
             hilbert_mod.MonomialIdeal(len(names), exps), args.n)
     else:
-        names = _parse_vars(args.vars) if args.vars else None
-        if names is None:
+        if not args.vars:
             raise InputError("--poly needs --vars")
-        F = parse_polynomial(args.poly, names)
+        F = parse_polynomial(args.poly, _parse_vars(args.vars))
         value = hilbert_mod.local_hilbert(F, args.n)
-    _emit(args, {"n": args.n, "dim": value}, lambda: [str(value)])
+    text = format_rational(value)  # a count too long to print is refused in either format
+    _emit(args, {"n": args.n, "dim": value}, lambda: [text])
     return EXIT_OK
 
 
@@ -249,13 +243,15 @@ def cmd_gb(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, point=False):
-    p.add_argument("--poly", "-f", required=True, help="polynomial in the input grammar")
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
-    p.add_argument("-n", type=int, required=True, help="order of the Jacobian matrix")
-    if point:
-        p.add_argument("--point", required=True, help="comma-separated exact rationals")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+# the commands on one polynomial: (name, takes a --point, help), read by `_read_input`
+_POLYNOMIAL_COMMANDS = (
+    ("jac", False, "print the order-n Jacobian matrix"),
+    ("singular", True, "rank test at a point"),
+    ("tangent", True, "higher tangent space at a non-singular point"),
+    ("minors", False, "all maximal minors of the matrix"),
+    ("nashideal", False, "reduced basis of <F> + (minors), modulo <F>"),
+    ("limits", True, "limit ideal of higher tangent spaces at a singular center"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,23 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "and limits of higher tangent spaces.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jac", help="print the order-n Jacobian matrix")
-    _add_common(p)
+    for name, point, text in _POLYNOMIAL_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--poly", "-f", required=True, help="polynomial in the input grammar")
+        p.add_argument("--vars", required=True, help="comma-separated variable names")
+        p.add_argument("-n", type=int, required=True, help="order of the Jacobian matrix")
+        if point:
+            p.add_argument("--point", required=True, help="comma-separated exact rationals")
+        p.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p = sub.add_parser("singular", help="rank test at a point")
-    _add_common(p, point=True)
-
-    p = sub.add_parser("tangent", help="higher tangent space at a non-singular point")
-    _add_common(p, point=True)
-
-    p = sub.add_parser("minors", help="all maximal minors of the matrix")
-    _add_common(p)
-
-    p = sub.add_parser("nashideal", help="reduced basis of <F> + (minors), modulo <F>")
-    _add_common(p)
-
-    p = sub.add_parser("limits", help="limit ideal of higher tangent spaces at a singular center")
-    _add_common(p, point=True)
+    p = sub.choices["limits"]
     p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--max-reductions", type=int, default=None)
 
@@ -312,16 +301,13 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so that a rebound cmd_<command> is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except (InputError, ParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (hjac.PointNotOnHypersurfaceError, hjac.SingularPointError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except ValueError as exc:  # InputError, ParseError and the engine's input errors
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -281,6 +281,7 @@ def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions)
         classes.setdefault(frozenset(entry[0].items()), entry)
     entries = sorted(classes.values(), key=lambda e: (len(e[0]), e[4]))
     budget = itertools.repeat(True) if max_reductions is None else itertools.repeat(True, max_reductions)
+    pairs = itertools.repeat(True) if max_pairs is None else itertools.repeat(True, max_pairs)
 
     basis: list[tuple] = []
     sugars: list[int] = []  # the sugar of each basis entry
@@ -289,7 +290,6 @@ def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions)
     live: dict[tuple[int, int], int] = {}  # queued pair -> lcm, until pruned
     redundant: set[int] = set()  # entries whose lt a later lt divides
     counter = itertools.count()
-    processed = 0
 
     def insert(entry: tuple, sugar: int):
         """Add `entry` to the basis and queue its S-pairs, pruned by the
@@ -346,10 +346,8 @@ def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions)
             sugar, lcm, _, i, j = heapq.heappop(heap)
             if live.pop((i, j), None) is None:
                 continue  # pruned after it was queued
-            if max_pairs is not None:
-                processed += 1
-                if processed > max_pairs:
-                    raise BudgetExceededError("pair budget exceeded")
+            if not next(pairs, False):
+                raise BudgetExceededError("pair budget exceeded")
             s = _spoly_int(basis[i], basis[j], lcm, K)
             entry = _entry(_reduce_int(s, basis, K, budget)[0], K)
             if entry is not None:

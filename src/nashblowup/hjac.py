@@ -215,7 +215,8 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     Returned as (column positions, determinant) with 0-based positions, in
     ascending lexicographic order of the position tuple, zero minors
     included; this enumeration is what numbers the auxiliary variables
-    u_1, u_2, ... downstream.  More than MAX_MINORS of them are refused.
+    u_1, u_2, ... downstream.  More than MAX_MINORS of them are refused, and so is
+    a wedge that could hold more partial products, at most C(N-1, k) after k rows.
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
@@ -238,6 +239,8 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     M, C = shape(F.num_vars, max(n, 0))  # an order below 1 is `build`'s error
     if (count := math.comb(C, M)) > MAX_MINORS:
         raise BudgetExceededError(f"minors: {count:,} maximal minors, over {MAX_MINORS:,}")
+    if (peak := math.comb(C, min(M, C // 2))) > MAX_MINORS:
+        raise BudgetExceededError(f"minors: up to {peak:,} partial products, over {MAX_MINORS:,}")
     jac = build(F, n)
     ring = F.ring
     K = _Packing(ring, lex(), (M * F.total_degree()).bit_length())

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .groebner import BudgetExceededError
 from .polynomial import MonomialOrder, Polynomial, grevlex
 
 
@@ -174,14 +175,22 @@ def parse_polynomial(text: str, ring) -> Polynomial:
     return poly
 
 
+class OutputTooLargeError(BudgetExceededError):
+    """A number to print has more digits than int() converts to a string."""
+
+
+def format_rational(c) -> str:
+    """str(c) of an int or a Fraction, refused past int()'s limit on the digits of a string."""
+    try:
+        return str(c)
+    except ValueError:  # the limit came with Python 3.10.7 and 3.11
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        raise OutputTooLargeError(f"output: a {bits:,}-bit number has too many digits to print") from None
+
+
 def _format_monomial(ring, mono) -> str:
-    parts = []
-    for name, e in zip(ring, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(name if e == 1 else f"{name}^{format_rational(e)}"
+                    for name, e in zip(ring, mono) if e)
 
 
 def format_polynomial(f: Polynomial, order: MonomialOrder | None = None) -> str:
@@ -198,11 +207,11 @@ def format_polynomial(f: Polynomial, order: MonomialOrder | None = None) -> str:
         mono_str = _format_monomial(f.ring, mono)
         mag = abs(coeff)
         if not mono_str:
-            body = str(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = mono_str
         else:
-            body = f"{mag}*{mono_str}"
+            body = f"{format_rational(mag)}*{mono_str}"
         if i == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

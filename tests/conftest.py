@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,18 @@ def graph_ideal_limit(F, n, center):
 
 # limit ideals at the origin at n=2, computed once per session for
 # test_limits and test_acceptance
+@pytest.fixture
+def digit_limit():
+    """int()'s default limit of 4,300 digits on string conversion, where the
+    interpreter has one (Python 3.11, and 3.10 from 3.10.7)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on the digits of a string conversion")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 @pytest.fixture(scope="session")
 def cusp_result():
     return limit_ideal(P("x^3 - y^2", ("x", "y")), 2, (0, 0))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -346,6 +347,23 @@ def test_gb_negative_budget_is_input_error(capsys, tmp_path):
         assert err == f"input error: {flag[2:].replace('-', '_')} must be >= 0, got -2\n"
 
 
+# -- output size -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, bits", [  # golden entry jac-output-digits has a coefficient
+    (("tangent", "--poly", "x - 2^14284*y", "--vars", "x,y", "-n", "2", "--point", "0,0"),
+     28_569),
+    (("hilbert", "--poly", "x", "--vars", "a,b,c,d,e,f,g,h,i,j,x", "-n", "1" + "0" * 500),
+     14_931),
+], ids=["tangent-vector", "hilbert-count"])
+def test_a_number_too_long_to_print_is_a_budget_refusal(capsys, digit_limit, argv, bits):
+    # the input parses and the answer is computed, but a number in it has
+    # more digits than str() converts: exit 4 with nothing printed, not exit 2
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == f"resource budget exceeded: output: a {bits:,}-bit number has too many digits to print\n"
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -359,6 +377,36 @@ def test_structured_output_is_deterministic(capsys):
 
 
 # -- the parser ----------------------------------------------------------------
+
+
+POLY_OPTIONS = [(("--poly", "-f"), True), (("--vars",), True), (("-n",), True)]
+FORMAT = [(("--format",), False)]
+BUDGETS = [(("--max-pairs",), False), (("--max-reductions",), False)]
+POINT = [(("--point",), True)]
+OPTIONS = {  # subcommand -> (option strings, required) in declaration order, -h left out
+    "jac": POLY_OPTIONS + FORMAT,
+    "singular": POLY_OPTIONS + POINT + FORMAT,
+    "tangent": POLY_OPTIONS + POINT + FORMAT,
+    "minors": POLY_OPTIONS + FORMAT,
+    "nashideal": POLY_OPTIONS + FORMAT,
+    "limits": POLY_OPTIONS + POINT + FORMAT + BUDGETS,
+    "hilbert": [(("--monomials",), False), (("--poly",), False), (("--vars",), False),
+                (("-n",), True)] + FORMAT,
+    "gb": [(("file",), True), (("--vars",), True), (("--order",), False)] + BUDGETS + FORMAT,
+}
+
+
+def test_each_subcommand_declares_its_options():
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(OPTIONS)
+    for name, parser in commands.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        assert [(tuple(a.option_strings) or (a.dest,), a.required) for a in actions] == OPTIONS[name]
+        [fmt] = [a for a in actions if a.dest == "format"]
+        assert (fmt.choices, fmt.default) == (("text", "structured"), "text")
+        if name == "gb":
+            assert actions[2].choices == ("grevlex", "grlex", "lex")
 
 
 def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(capsys, monkeypatch):

@@ -57,6 +57,7 @@ CASES = {
                         *JSON),
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
+    "jac-output-digits": ("jac", "--poly", "2^14284*x^100", "--vars", "x,y", "-n", "1", *JSON),
     # singular
     "singular-origin": ("singular", *CUSP, "-n", "2", "--point", "0,0", *JSON),
     "singular-smooth": ("singular", *CUSP, "-n", "2", "--point", "1/4,1/8", *JSON),
@@ -78,6 +79,7 @@ CASES = {
     "minors-text": ("minors", *CUSP, "-n", "2"),
     "minors-order-0": ("minors", *CUSP, "-n", "0", *JSON),
     "minors-cap": ("minors", *SURFACE, "-n", "4", *JSON),
+    "minors-partial-cap": ("minors", *CUSP, "-n", "6", *JSON),
     # nashideal
     "nashideal-surface": ("nashideal", *SURFACE, "-n", "2", *JSON),
     "nashideal-cusp": ("nashideal", *CUSP, "-n", "2", *JSON),

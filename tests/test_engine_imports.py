@@ -3,9 +3,10 @@ sympy and the other test extras serving only as references in the tests,
 it keeps no private helper that nothing calls, one helper alone pauses the
 cyclic garbage collector, and one pass in groebner divides by a basis, with
 no substitution, on packed-int monomials and no tuple arithmetic, whose
-`_Packing` is the one bit layout of exponents, the minors' too.  Neither
-the engine nor the tests read the environment, so the suite runs one
-configuration."""
+`_Packing` is the one bit layout of exponents, the minors' too.  The CLI
+reads the inputs of its six commands on one polynomial in one reader.
+Neither the engine nor the tests read the environment, so the suite runs
+one configuration."""
 
 import ast
 import sys
@@ -223,6 +224,42 @@ def test_minors_pack_monomials_with_the_engine():
     source = (ENGINE / "hjac.py").read_text()
     assert shifted_values(source) == []
     assert references({"hjac.py": source}, {"_Packing"}) == [("hjac.py", "_Packing")]
+
+
+def enclosing_references(source: str, names: set[str]) -> list[tuple[str, str]]:
+    """(module-level def or "", name), sorted and without repeats, of every
+    use of one of `names` in `source` as a name or an attribute: imports and
+    definitions are not uses."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and used in names:
+                found.add((where, used))
+    return sorted(found)
+
+
+def test_enclosing_references_fixture():
+    source = ("from .parser import parse_polynomial\nimport parser\n"
+              "def read(args):\n    return parse_polynomial(args.poly)\n"
+              "def cmd(args):\n    return list(map(parser.parse_polynomial, args))\n"
+              "def parse_polynomial(text):\n    pass\nDEFAULT = parse_polynomial('x')\n")
+    assert enclosing_references(source, {"parse_polynomial"}) == [
+        ("", "parse_polynomial"), ("cmd", "parse_polynomial"), ("read", "parse_polynomial")]
+
+
+def test_cli_reads_polynomial_inputs_in_one_reader():
+    # the six commands on one polynomial read --vars, --poly and --point
+    # through `_read_input`; hilbert and gb read other inputs themselves
+    source = (ENGINE / "cli.py").read_text()
+    assert enclosing_references(source, {"parse_polynomial", "_parse_vars", "_parse_point"}) == [
+        ("_read_input", "_parse_point"), ("_read_input", "_parse_vars"),
+        ("_read_input", "parse_polynomial"),
+        ("cmd_gb", "_parse_vars"), ("cmd_gb", "parse_polynomial"),
+        ("cmd_hilbert", "_parse_vars"), ("cmd_hilbert", "parse_polynomial")]
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert "_add_common" not in defined
 
 
 ENVIRONMENT = {"environ", "getenv"}

@@ -662,6 +662,24 @@ def test_minor_table_over_the_cap_is_refused_before_it_is_built(monkeypatch):
         assert not hasattr(info.value, "minors")
 
 
+@pytest.mark.parametrize("text, ring, n, peak", [
+    ("x^3 - y^2", ("x", "y"), 6, 20_058_300),  # C(27, 13); its 296,010 minors pass the count
+    ("x^25", ("x",), 23, 1_352_078),  # C(23, 11): one variable is refused from n = 23
+], ids=["cusp-6", "one-variable-23"])
+def test_wedge_over_the_cap_is_refused_before_the_matrix_is_built(monkeypatch, text, ring, n, peak):
+    # after k rows the wedge holds at most C(N-1, k) partial products, the
+    # largest at k = min(M, (N-1)//2); the table's count alone would pass
+    M, C = shape(len(ring), n)
+    assert math.comb(C, M) <= hjac.MAX_MINORS < math.comb(C, min(M, C // 2)) == peak
+    monkeypatch.setattr(hjac, "build", lambda F, n: pytest.fail("the matrix was built"))
+    F = P(text, ring)
+    for call in (maximal_minors, nash_ideal, lambda F, n: limit_ideal(F, n, (0,) * len(ring))):
+        with pytest.raises(BudgetExceededError) as info:
+            call(F, n)
+        assert str(info.value) == f"minors: up to {peak:,} partial products, over 1,000,000"
+        assert not hasattr(info.value, "minors")
+
+
 # -- the collector pause around the minor table ------------------------------
 
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashblowup.parser import (MAX_POWER_PRODUCTS, ParseError, _power_products, format_polynomial,
-                               parse_polynomial)
+from nashblowup.groebner import BudgetExceededError
+from nashblowup.parser import (MAX_POWER_PRODUCTS, OutputTooLargeError, ParseError, _power_products,
+                               format_polynomial, format_rational, parse_polynomial)
 from nashblowup.polynomial import Polynomial, grlex
 
 RING2 = ("x", "y")
@@ -161,6 +162,21 @@ def test_format_fixtures():
     f = Polynomial(RING2, {(2, 0): 3, (0, 1): -2})
     assert format_polynomial(f, grlex()) == "3*x^2 - 2*y"
     assert format_polynomial(Polynomial.constant(RING2, Fraction(1, 2))) == "1/2"
+
+
+@pytest.mark.parametrize("terms, bits", [
+    ({(1, 0): 100 * 2**14284}, 14_291),
+    ({(0, 0): Fraction(1, 3 * 2**14284)}, 14_286),
+    ({(10**4300, 0): 1}, 14_285),
+], ids=["coefficient", "denominator", "exponent"])
+def test_format_refuses_a_number_with_too_many_digits(digit_limit, terms, bits):
+    # 2^14284 has 4,300 digits and prints; every number format_polynomial
+    # prints goes through format_rational, which names the refusal
+    assert format_rational(2**14284) == str(2**14284)
+    with pytest.raises(OutputTooLargeError) as info:
+        format_polynomial(Polynomial(RING2, terms))
+    assert str(info.value) == f"output: a {bits:,}-bit number has too many digits to print"
+    assert isinstance(info.value, BudgetExceededError)
 
 
 def coeff_strategy():
