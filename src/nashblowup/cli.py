@@ -208,9 +208,9 @@ def cmd_hilbert(args) -> int:
         exps = []
         for chunk in args.monomials.split(","):
             p = parse_polynomial(chunk.strip(), names)
-            if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
+            if p.den != 1 or list(p.numerators.values()) != [1]:
                 raise InputError(f"not a monomial: {chunk.strip()!r}")
-            exps.append(next(iter(p.terms)))
+            exps.append(next(iter(p.numerators)))
         value = hilbert_mod.graded_dim(
             hilbert_mod.MonomialIdeal(len(names), exps), args.n)
     else:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -36,7 +35,8 @@ from .polynomial import (
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured resource cap (pairs, reduction steps, `hjac.MAX_MINORS`) was hit.
+    """A configured resource cap (pairs, reduction steps, `hjac.MAX_MINORS`,
+    `hjac.MAX_CELLS`, `hilbert.MAX_MONOMIALS`) was hit.
 
     Raised from the elimination in `limits.limit_ideal`, it carries the minor
     table as `minors`, and the names of the u variables, one per minor, as `u_ring`.
@@ -123,20 +123,12 @@ def _packed(run, ring, order: MonomialOrder, polys: list[Polynomial]):
     """run(K) under the packing of (ring, order) whose cap holds twice the largest
     degree of `polys`, and again under double the width while a degree past the
     cap raises OverflowError."""
-    width = max(1, 2 * max((max(map(sum, p.terms)) for p in polys if p.terms), default=0)).bit_length()
+    width = max(1, 2 * max((max(map(sum, p.numerators)) for p in polys if p), default=0)).bit_length()
     while True:
         try:
             return run(_Packing(ring, order, width))
         except OverflowError:
             width *= 2
-
-
-def _cleared(f: Polynomial, K: _Packing) -> tuple[dict, int]:
-    """(terms, d): integer terms equal to d * f for the least such d, packed by K."""
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    if d == 1:
-        return {K[m]: c.numerator for m, c in f.terms.items()}, 1
-    return {K[m]: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
 
 
 def _entry(terms: dict, K: _Packing) -> tuple | None:
@@ -277,7 +269,7 @@ def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions)
     # one primitive, sign-normalised entry per class of scalar multiples
     classes: dict = {}
     for g in generators:
-        entry = _entry(_cleared(g, K)[0], K)
+        entry = _entry({K[m]: v for m, v in g.numerators.items()}, K)
         classes.setdefault(frozenset(entry[0].items()), entry)
     entries = sorted(classes.values(), key=lambda e: (len(e[0]), e[4]))
     budget = itertools.repeat(True) if max_reductions is None else itertools.repeat(True, max_reductions)
@@ -356,7 +348,7 @@ def _basis(generators: list[Polynomial], K: _Packing, max_pairs, max_reductions)
         redundant.clear()
         sugars[:] = [top for *_, top in basis]
 
-    return [Polynomial._from_terms(K.ring, {K.unpack(m): Fraction(v, lc) for m, v in terms.items()})
+    return [Polynomial._over(K.ring, {K.unpack(m): v for m, v in terms.items()}, lc)
             for terms, _, lc, _, _ in basis]
 
 
@@ -384,13 +376,13 @@ def _interreduce(basis: list[tuple], old: int, redundant: set[int], K: _Packing)
 
 def _remainders(fs, G, order: MonomialOrder, ring) -> list[tuple[dict, int]]:
     """(r, d) for each f in `fs`: the remainder of f by G in `ring`, as in
-    `normal_form`, is r/d with integer terms r.  G is cleared and packed once."""
+    `normal_form`, is r/d with integer terms r.  G is packed once."""
     fs, G = list(fs), [g.to_ring(ring) for g in G if not g.is_zero()]
 
     def run(K: _Packing) -> list[tuple[dict, int]]:
-        divisors = [_entry(_cleared(g, K)[0], K) for g in G]
-        reduced = [(_reduce_int(terms, divisors, K, itertools.repeat(True)), d)
-                   for terms, d in (_cleared(f, K) for f in fs)]
+        divisors = [_entry({K[m]: v for m, v in g.numerators.items()}, K) for g in G]
+        reduced = [(_reduce_int({K[m]: v for m, v in f.numerators.items()}, divisors, K,
+                                itertools.repeat(True)), f.den) for f in fs]
         return [({K.unpack(m): v for m, v in r.items()}, d * scale) for (r, scale), d in reduced]
 
     return _packed(run, ring, order, fs + G)
@@ -400,7 +392,7 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder | N
     """Remainder of multivariate division of f by G: no remainder term is
     divisible by any leading term of G, and f - r lies in <G>."""
     [(remainder, d)] = _remainders([f], G, order or grevlex(), f.ring)
-    return Polynomial._from_terms(f.ring, {m: Fraction(v, d) for m, v in remainder.items()})
+    return Polynomial._over(f.ring, remainder, d)
 
 
 def eliminate(
@@ -424,7 +416,7 @@ def eliminate(
                        max_pairs=max_pairs, max_reductions=max_reductions)
     dropped_idx = [ring.index(v) for v in drop]
     return Ideal(keep, [g.to_ring(keep) for g in basis
-                        if not any(m[i] for m in g.terms for i in dropped_idx)])
+                        if not any(m[i] for m in g.numerators for i in dropped_idx)])
 
 
 def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None) -> bool:

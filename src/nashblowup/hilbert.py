@@ -17,8 +17,11 @@ import math
 from dataclasses import dataclass
 
 from . import multiindex as mi
+from .groebner import BudgetExceededError
 from .hjac import PointNotOnHypersurfaceError, _check_input, _taylor_at
 from .polynomial import Polynomial
+
+MAX_MONOMIALS = 250_000  # the cap on graded_dim's degree-n monomials; s=3 at n=705 has 249,571
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,13 @@ class MonomialIdeal:
 
 
 def graded_dim(a: MonomialIdeal, n: int) -> int:
-    """Number of degree-n monomials not in the ideal: dim m^n/m^(n+1)."""
+    """Number of degree-n monomials not in the ideal: dim m^n/m^(n+1).
+    More than MAX_MONOMIALS monomials of degree n are refused before any is enumerated."""
     if n < 0:
         raise ValueError("degree must be non-negative")
+    if (count := math.comb(n + a.s - 1, a.s - 1)) > MAX_MONOMIALS:
+        raise BudgetExceededError(
+            f"hilbert: {count:,} monomials of degree {n}, over {MAX_MONOMIALS:,}")
     return sum(1 for alpha in mi.iter_degree(a.s, n) if not a.contains_monomial(alpha))
 
 
@@ -71,7 +78,7 @@ def local_hilbert(F: Polynomial, n: int) -> int:
         raise PointNotOnHypersurfaceError("F(0) != 0: the origin is not on the hypersurface")
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return _graded_count(F.num_vars, n, min(map(sum, F.terms)))
+    return _graded_count(F.num_vars, n, min(map(sum, F.numerators)))
 
 
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:

@@ -29,6 +29,7 @@ from .groebner import BudgetExceededError, Ideal, _Packing, buchberger, normal_f
 from .polynomial import Polynomial, _collect, grevlex, lex, make_point
 
 MAX_MINORS = 1_000_000  # the cap on a minor table's size; x*y - z^4 at n=3 has 92,378
+MAX_CELLS = 250_000  # the cap on a matrix's M*(N-1) cells; the cusp at n=30 has 230,175
 
 
 class PointNotOnHypersurfaceError(ValueError):
@@ -55,11 +56,12 @@ class HigherJacobian:
         # d^gamma F/gamma! sums c*C(m, gamma) x^(m-gamma) over c*x^m; m -> m-gamma is one-to-one
         position = _layout(self.F.num_vars, self.n)[2]
         terms: list[dict] = [{} for _ in position]
-        for mono, c in self.F.terms.items():
+        for mono, c in self.F.numerators.items():
             for gamma, rest, binom in mi.binomial_terms(mono, self.n):
                 terms[position[gamma]][rest] = c * binom
-        zero = Polynomial.zero(self.F.ring)
-        return tuple(Polynomial._from_terms(self.F.ring, t) if t else zero for t in terms) + (zero,)
+        ring, den = self.F.ring, self.F.den
+        zero = Polynomial.zero(ring)
+        return tuple(Polynomial._over(ring, t, den) if t else zero for t in terms) + (zero,)
 
     @property
     def num_rows(self) -> int:
@@ -111,24 +113,27 @@ def _layout(s: int, n: int):
 def _taylor_at(F: Polynomial, point, degree: int | None = None) -> tuple[dict, int]:
     """The nonzero (d^gamma F / gamma!)(p) by gamma, |gamma| <= degree if given, at a
     rational p: the terms of F(x + p), as integer numerators over one scale S = L*q^D,
-    L and q the lcms of the denominators of F and p, a = q*p and D = deg F.  The numerator
-    at gamma sums (c*L)*C(m, gamma)*a^(m - gamma)*q^(D - |m - gamma|) over the c*x^m of F."""
+    L = F.den, q the lcm of the denominators of p, a = q*p and D = deg F.  The numerator
+    at gamma sums c*C(m, gamma)*a^(m - gamma)*q^(D - |m - gamma|) over the numerators
+    c*x^m of F."""
     point = make_point(point)
     if len(point) != F.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, expected {F.num_vars}")
-    L = math.lcm(*(c.denominator for c in F.terms.values()))
     q = math.lcm(*(x.denominator for x in point))
     a = [x.numerator * (q // x.denominator) for x in point]
-    D = max(map(sum, F.terms), default=0)
-    return _collect((gamma, c.numerator * (L // c.denominator) * binom * q ** (D - sum(rest))
+    D = max(map(sum, F.numerators), default=0)
+    return _collect((gamma, c * binom * q ** (D - sum(rest))
                      * math.prod(x**e for x, e in zip(a, rest) if e))
-                    for mono, c in F.terms.items()
-                    for gamma, rest, binom in mi.binomial_terms(mono, degree)), L * q**D
+                    for mono, c in F.numerators.items()
+                    for gamma, rest, binom in mi.binomial_terms(mono, degree)), F.den * q**D
 
 
 def build(F: Polynomial, n: int) -> HigherJacobian:
-    """The order-n Jacobian matrix of a nonzero polynomial, as its cached layout."""
+    """The order-n Jacobian matrix of a nonzero polynomial, as its cached layout;
+    more than MAX_CELLS cells are refused before the layout is built."""
     _check_input(F, n)
+    if (cells := math.prod(shape(F.num_vars, n))) > MAX_CELLS:
+        raise BudgetExceededError(f"matrix: {cells:,} cells, over {MAX_CELLS:,}")
     rows, cols, _, cells = _layout(F.num_vars, n)
     return HigherJacobian(F, n, rows, cols, cells)
 
@@ -220,9 +225,9 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
 
     Computed by expanding the wedge product of the rows over their nonzero
     entries, which shares work across minors and exploits the sparsity of
-    the matrix; it reads the Taylor table through the cells, converting each
-    coefficient once.  The expansion runs on integers: the entries
-    are scaled by the common denominator d of their coefficients, and every
+    the matrix; it reads the Taylor table through the cells.  The expansion
+    runs on integers: the entries are numerators over d = F.den, a multiple of
+    each entry's own denominator, and every
     exponent vector is packed by the engine's `groebner._Packing` under lex,
     with (M*deg F).bit_length() bits per field, so that a product of M
     entries, of degree at most M*deg F, cannot carry from one field into the
@@ -230,7 +235,7 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     ints, and because it has the fewest fields, one per variable and one for
     the degree: at s = n = 3 a monomial fits in 28 bits, a one-digit CPython
     int, where grevlex needs 35.  Partial products are keyed by the bitmask
-    of their columns.  Each coefficient is divided by d^M at the end.
+    of their columns.  Each minor is its numerators over d^M.
 
     Runs with the cyclic garbage collector paused (`_collector_paused`):
     the table allocates about one object per term of every minor and makes
@@ -244,11 +249,10 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
     jac = build(F, n)
     ring = F.ring
     K = _Packing(ring, lex(), (M * F.total_degree()).bit_length())
-    # each Taylor coefficient as +entry and -entry over the common denominator d
-    d = math.lcm(*(c.denominator for e in jac.taylor for c in e.terms.values()))
+    # each Taylor coefficient as +entry and -entry, numerators over d = F.den
     signed = []
     for e in jac.taylor:
-        plus = [(K[m], c.numerator * (d // c.denominator)) for m, c in e.terms.items()]
+        plus = [(K[m], c * (F.den // e.den)) for m, c in e.numerators.items()]
         signed.append((plus, [(m, -c) for m, c in plus]))
     acc: dict[int, dict[int, int]] = {0: {0: 1}}
     for row in jac.cells:
@@ -275,30 +279,17 @@ def maximal_minors(F: Polynomial, n: int) -> list[tuple[tuple[int, ...], Polynom
                 else:
                     del new[mask]
         acc = new
-    # back to Polynomials, converting each distinct coefficient and monomial
-    # once and freeing each integer minor as it is converted
-    scale = d**M
-    fractions: dict[int, Fraction] = {}
-    monomials: dict[int, tuple[int, ...]] = {}
+    # back to Polynomials, unpacking each distinct monomial once and freeing
+    # each integer minor as it is converted
+    scale, unpack = F.den**M, functools.cache(K.unpack)
     zero = Polynomial.zero(ring)
     table = []
     # the bit tuples run through the masks in the order of the column tuples
     masks = map(sum, combinations([1 << j for j in range(C)], M))
     for J, mask in zip(combinations(range(C), M), masks):
         poly = acc.pop(mask, None)
-        if poly is None:
-            table.append((J, zero))
-            continue
-        terms = {}
-        for m, c in poly.items():
-            frac = fractions.get(c)
-            if frac is None:
-                frac = fractions[c] = Fraction(c, scale)
-            mono = monomials.get(m)
-            if mono is None:
-                mono = monomials[m] = K.unpack(m)
-            terms[mono] = frac
-        table.append((J, Polynomial._from_terms(ring, terms)))
+        table.append((J, zero if poly is None else
+                      Polynomial._over(ring, {unpack(m): c for m, c in poly.items()}, scale)))
     return table
 
 
@@ -322,7 +313,7 @@ def nash_ideal(F: Polynomial, n: int) -> Ideal:
         nf = normal_form(g, [F], order)
         if nf.is_zero():
             continue
-        nf = nf.scalar_mul(1 / nf.terms[nf.leading_monomial(order)])
+        nf = Polynomial._over(nf.ring, nf.numerators, nf.numerators[nf.leading_monomial(order)])
         if nf not in gens:
             gens.append(nf)
     return Ideal(F.ring, gens)

@@ -56,8 +56,7 @@ class LimitIdealResult:
 
 def translate_to_origin(F: Polynomial, center) -> Polynomial:
     """F(x + center): moves the given point of interest to the origin."""
-    values, scale = _taylor_at(F, center)
-    return Polynomial._from_terms(F.ring, {m: Fraction(v, scale) for m, v in values.items()})
+    return Polynomial._over(F.ring, *_taylor_at(F, center))
 
 
 def limit_ideal(
@@ -118,9 +117,9 @@ def limit_ideal(
     s = F.num_vars
     projected: list[Polynomial] = []
     for g in xu.generators:
-        terms = {m[s:]: c for m, c in g.terms.items() if not any(m[:s])}
-        if terms:
-            projected.append(Polynomial._from_terms(free_names, terms))
+        numerators = {m[s:]: c for m, c in g.numerators.items() if not any(m[:s])}
+        if numerators:
+            projected.append(Polynomial._over(free_names, numerators, g.den))
     reduced = buchberger(projected, grevlex(), free_names) if projected else []
     generators = linear + [g.to_ring(unames) for g in reduced]
     return LimitIdealResult(
@@ -151,7 +150,8 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     order = grevlex()
     ring = shifted.ring
     # the basis is monic, so F enters it, if at all, as F made monic
-    monic = shifted.scalar_mul(1 / shifted.terms[shifted.leading_monomial(order)])
+    monic = Polynomial._over(ring, shifted.numerators,
+                             shifted.numerators[shifted.leading_monomial(order)])
     G = buchberger([shifted] + [x * g for g in buchberger([shifted] + deltas, order, ring)
                                 if g != monic for x in Polynomial.variables(ring)], order, ring)
     remainders = _remainders(reversed(deltas), G, order, ring)
@@ -194,43 +194,43 @@ def _factors(g: Polynomial) -> list[Polynomial] | None:
     when g fits none of the patterns: g itself if linear, the variables of a
     monomial, the shared variables and then the quotient of a binomial with a
     common monomial factor, and the lines u_i +- r*u_j of c1*u_i^2 + c2*u_j^2
-    with r^2 = -c2/c1 rational."""
+    with r^2 = -c2/c1 rational, each times |c1|."""
     def var(i):
         return Polynomial.variable(g.ring, g.ring[i])
 
     if g.total_degree() == 1:
         return [g]
-    if len(g.terms) == 1:
-        (mono,) = g.terms
+    if len(g.numerators) == 1:
+        (mono,) = g.numerators
         return [var(i) for i, e in enumerate(mono) if e]
-    if len(g.terms) != 2:
+    if len(g.numerators) != 2:
         return None
-    (m1, c1), (m2, c2) = g.terms.items()
+    (m1, c1), (m2, c2) = g.numerators.items()
     common = tuple(map(min, m1, m2))
     if any(common):
-        quotient = Polynomial(g.ring, {
+        quotient = Polynomial._over(g.ring, {
             tuple(a - c for a, c in zip(m1, common)): c1,
             tuple(a - c for a, c in zip(m2, common)): c2,
-        })
+        }, g.den)
         return [var(i) for i, e in enumerate(common) if e] + [quotient]
-    square = -c2 / c1
+    # r = sqrt(-c2/c1) = sqrt(-c1*c2)/|c1|, rational iff -c1*c2 is a square
+    square = -c1 * c2
     if sum(m1) == sum(m2) == 2 and 2 in m1 and 2 in m2 and square > 0:
-        root = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+        root = math.isqrt(square)
         if root * root == square:
             i, j = m1.index(2), m2.index(2)
-            return [var(i) + var(j).scalar_mul(sgn * root) for sgn in (1, -1)]
+            return [var(i).scalar_mul(abs(c1)) + var(j).scalar_mul(sgn * root) for sgn in (1, -1)]
     return None
 
 
 def _linear_row(g: Polynomial) -> list[int] | None:
-    """The coefficients of a linear form times the lcm of their denominators,
-    ints spanning the same line, or None when g has a constant term (its zero
-    set is affine, not a linear subspace)."""
+    """The numerators of a linear form, ints spanning the same line, or None
+    when g has a constant term (its zero set is affine, not a linear subspace)."""
     if g.constant_term():
         return None
-    d, row = math.lcm(*(c.denominator for c in g.terms.values())), [0] * g.num_vars
-    for mono, c in g.terms.items():
-        row[mono.index(1)] = c.numerator * (d // c.denominator)
+    row = [0] * g.num_vars
+    for mono, c in g.numerators.items():
+        row[mono.index(1)] = c
     return row
 
 
@@ -238,10 +238,9 @@ def _restricted(gens: list[Polynomial], rows, ring) -> list[Polynomial]:
     """`gens` modulo the linear forms of the rref of `rows`, which are their
     reduced grevlex basis, as each row's pivot is its leading term."""
     R, pivots = linalg.rref(rows)
-    forms = [Polynomial._from_terms(ring, {_unit(j, len(ring)): c for j, c in enumerate(row) if c})
+    forms = [Polynomial(ring, {_unit(j, len(ring)): c for j, c in enumerate(row) if c})
              for row in R[:len(pivots)]]
-    return [Polynomial._from_terms(ring, {m: Fraction(v, d) for m, v in r.items()})
-            for r, d in _remainders(gens, forms, grevlex(), ring)]
+    return [Polynomial._over(ring, r, d) for r, d in _remainders(gens, forms, grevlex(), ring)]
 
 
 def describe_planes(generators):

@@ -53,9 +53,8 @@ def _bits(poly: Polynomial) -> int:
     """b such that poly is (sum a_m*m)/den with integer a_m, sum |a_m| <= 2^b and
     den <= 2^b: the numerators of a product of such factors are at most the
     product of the sums and its denominators divide the product of the den."""
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    size = sum(abs(c.numerator) * den // c.denominator for c in poly.terms.values())
-    return max(size - 1, den - 1, 0).bit_length()
+    size = sum(map(abs, poly.numerators.values()))
+    return max(size - 1, poly.den - 1, 0).bit_length()
 
 
 def _power_products(t: int, k: int) -> int:
@@ -120,8 +119,8 @@ def parse_polynomial(text: str, ring) -> Polynomial:
         poly = factor()
         while accept("*"):
             pos, rhs = tokens[i - 1][2], factor()
-            if len(poly.terms) * len(rhs.terms) > MAX_POWER_PRODUCTS:
-                raise ParseError(pos, f"product of {len(poly.terms)} and {len(rhs.terms)} terms",
+            if (t := len(poly.numerators)) * (u := len(rhs.numerators)) > MAX_POWER_PRODUCTS:
+                raise ParseError(pos, f"product of {t} and {u} terms",
                                  f"at most {MAX_POWER_PRODUCTS:,} term products")
             if (b := _bits(poly) + _bits(rhs)) > MAX_POWER_BITS:
                 raise ParseError(pos, f"product of {b} coefficient bits",
@@ -135,8 +134,8 @@ def parse_polynomial(text: str, ring) -> Polynomial:
             kind, value, pos = take()
             if kind != "int":
                 raise ParseError(pos, f"malformed exponent {value!r}", "a non-negative integer")
-            if _power_products(len(poly.terms), k := integer(value, pos)) > MAX_POWER_PRODUCTS:
-                raise ParseError(tokens[i - 2][2], f"power {value} of {len(poly.terms)} terms",
+            if _power_products(len(poly.numerators), k := integer(value, pos)) > MAX_POWER_PRODUCTS:
+                raise ParseError(tokens[i - 2][2], f"power {value} of {len(poly.numerators)} terms",
                                  f"at most {MAX_POWER_PRODUCTS:,} term products")
             if k * (b := _bits(poly)) > MAX_POWER_BITS:
                 raise ParseError(tokens[i - 2][2], f"power {value} of {b}-bit coefficients",
@@ -202,16 +201,19 @@ def format_polynomial(f: Polynomial, order: MonomialOrder | None = None) -> str:
         return "0"
     if order is None:
         order = grevlex()
+    key, den = order.key_func(f.ring), f.den
     pieces = []
-    for i, (mono, coeff) in enumerate(f.sorted_terms(order)):
+    for i, mono in enumerate(sorted(f.numerators, key=key, reverse=True)):
+        coeff = f.numerators[mono]
+        g = math.gcd(coeff, den)  # coeff/den in lowest terms
+        mag = format_rational(abs(coeff) // g) + (f"/{format_rational(den // g)}" if g < den else "")
         mono_str = _format_monomial(f.ring, mono)
-        mag = abs(coeff)
         if not mono_str:
-            body = format_rational(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono_str
         else:
-            body = f"{format_rational(mag)}*{mono_str}"
+            body = f"{mag}*{mono_str}"
         if i == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

@@ -1,14 +1,16 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Polynomials live in a ring given by an ordered tuple of variable names and
-store their terms as a map from exponent tuple to a nonzero Fraction.  All
-arithmetic is exact; there are no floating-point coefficients anywhere.
+store a map from exponent tuple to nonzero int numerator over one positive
+`den`, in lowest terms; the engine reads and builds that form directly, and
+`terms` is the Fractions' view of it.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Union
 
@@ -62,17 +64,23 @@ def _fresh(name: str, taken) -> str:
     return candidate
 
 
-class Polynomial:
-    """An element of Q[x_1, ..., x_s], stored sparsely."""
+def _ring(names: Iterable[str]) -> Ring:
+    """`names` as a ring, refused when empty or with a name twice."""
+    ring = tuple(names)
+    if not ring:
+        raise ValueError("ring needs at least one variable")
+    if len(set(ring)) != len(ring):
+        raise ValueError(f"duplicate variable names: {ring}")
+    return ring
 
-    __slots__ = ("ring", "terms")
+
+class Polynomial:
+    """An element of Q[x_1, ..., x_s], stored sparsely; equal ones store equal (numerators, den)."""
+
+    __slots__ = ("ring", "numerators", "den")
 
     def __init__(self, ring: Iterable[str], terms: Mapping[tuple, Scalar] | None = None):
-        ring = tuple(ring)
-        if not ring:
-            raise ValueError("ring needs at least one variable")
-        if len(set(ring)) != len(ring):
-            raise ValueError(f"duplicate variable names: {ring}")
+        ring = _ring(ring)
         pairs = []
         if terms:
             s = len(ring)
@@ -83,19 +91,26 @@ class Polynomial:
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
                 pairs.append((mono, _coerce_scalar(coeff)))
-        self.ring = ring
-        self.terms = _collect(pairs)
+        den = lcm(*(c.denominator for _, c in pairs))
+        canonical = Polynomial._over(
+            ring, _collect((m, c.numerator * (den // c.denominator)) for m, c in pairs), den)
+        self.ring, self.numerators, self.den = ring, canonical.numerators, canonical.den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _from_terms(ring: Ring, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
-        """Trusted constructor: `ring` a valid tuple of names and `terms` a
-        dict of exponent tuples of its length to nonzero Fractions, taken as
-        they are, without copying or checking."""
+    def _over(ring: Ring, numerators: dict[tuple[int, ...], int], den: int) -> "Polynomial":
+        """numerators/den in lowest terms: both divided by their gcd, den made
+        positive.  Trusted: `ring` a valid tuple of names, `numerators` a dict
+        of exponent tuples of its length to nonzero ints, taken without
+        copying or checking, and den a nonzero int."""
+        if den != 1:
+            g = gcd(den, *numerators.values())
+            g = -g if den < 0 else g
+            if g != 1:
+                numerators, den = {m: v // g for m, v in numerators.items()}, den // g
         out = Polynomial.__new__(Polynomial)
-        out.ring = ring
-        out.terms = terms
+        out.ring, out.numerators, out.den = ring, numerators, den
         return out
 
     @staticmethod
@@ -122,36 +137,42 @@ class Polynomial:
     # -- basics ------------------------------------------------------------
 
     @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, in a new dict on each read."""
+        den = self.den
+        return {m: Fraction(v, den) for m, v in self.numerators.items()}
+
+    @property
     def num_vars(self) -> int:
         return len(self.ring)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.numerators)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ring), Fraction(0))
+        return Fraction(self.numerators.get((0,) * len(self.ring), 0), self.den)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.ring == other.ring and self.terms == other.terms
+            return (self.den, self.numerators, self.ring) == (other.den, other.numerators, other.ring)
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self.ring, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.den, frozenset(self.numerators.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __repr__(self) -> str:
         from .parser import format_polynomial
@@ -170,13 +191,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        return Polynomial._from_terms(
-            self.ring, _collect([*self.terms.items(), *other.terms.items()]))
+        d = lcm(self.den, other.den)
+        return Polynomial._over(self.ring, _collect(
+            (m, v * (d // f.den)) for f in (self, other) for m, v in f.numerators.items()), d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._from_terms(self.ring, {m: -c for m, c in self.terms.items()})
+        return Polynomial._over(self.ring, {m: -v for m, v in self.numerators.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -194,9 +216,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        return Polynomial._from_terms(self.ring, _collect(
+        return Polynomial._over(self.ring, _collect(
             (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items()))
+            for m1, c1 in self.numerators.items() for m2, c2 in other.numerators.items()),
+            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -204,7 +227,9 @@ class Polynomial:
         c = _coerce_scalar(c)
         if not c:
             return Polynomial.zero(self.ring)
-        return Polynomial._from_terms(self.ring, {m: co * c for m, co in self.terms.items()})
+        p = c.numerator
+        return Polynomial._over(self.ring, {m: v * p for m, v in self.numerators.items()},
+                                self.den * c.denominator)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -226,8 +251,8 @@ class Polynomial:
         mi.validate(alpha)
         if len(alpha) != self.num_vars:
             raise ValueError("multi-index length does not match the ring")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for mono, c in self.terms.items():
+        numerators: dict[tuple[int, ...], int] = {}
+        for mono, v in self.numerators.items():
             if not mi.leq(alpha, mono):
                 continue
             factor = 1
@@ -236,8 +261,8 @@ class Polynomial:
                     factor *= j
             # mono -> mono - alpha is one-to-one, so no two terms meet, and
             # factor > 0 keeps every coefficient nonzero
-            terms[tuple(e - a for e, a in zip(mono, alpha))] = c * factor
-        return Polynomial._from_terms(self.ring, terms)
+            numerators[tuple(e - a for e, a in zip(mono, alpha))] = v * factor
+        return Polynomial._over(self.ring, numerators, self.den)
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -246,13 +271,12 @@ class Polynomial:
         if len(point) != self.num_vars:
             raise ValueError("point dimension does not match the ring")
         total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
+        for mono, v in self.numerators.items():
             for coord, e in zip(point, mono):
                 if e:
                     v *= coord**e
             total += v
-        return total
+        return total / self.den
 
     def substitute(self, assignments: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Simultaneous substitution of polynomials (or scalars) for variables."""
@@ -266,41 +290,35 @@ class Polynomial:
             self._check_ring(value)
             subs[self.ring.index(name)] = value
         result = Polynomial.zero(self.ring)
-        for mono, c in self.terms.items():
-            term = Polynomial.constant(self.ring, c)
-            untouched = list(mono)
+        for mono, v in self.numerators.items():
+            untouched = tuple(0 if i in subs else e for i, e in enumerate(mono))
+            term = Polynomial._over(self.ring, {untouched: v}, self.den)
             for i, e in enumerate(mono):
                 if i in subs and e:
-                    untouched[i] = 0
                     term = term * subs[i] ** e
-            if any(untouched):
-                term = term * Polynomial(self.ring, {tuple(untouched): 1})
             result = result + term
         return result
 
     # -- monomial-order-dependent views ---------------------------------------
 
     def leading_monomial(self, order: "MonomialOrder") -> tuple[int, ...]:
-        if not self.terms:
+        if not self.numerators:
             raise ValueError("the zero polynomial has no leading monomial")
         key = order.key_func(self.ring)
-        return max(self.terms, key=key)
-
-    def sorted_terms(self, order: "MonomialOrder") -> list[tuple[tuple[int, ...], Fraction]]:
-        key = order.key_func(self.ring)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        return max(self.numerators, key=key)
 
     def to_ring(self, ring: Iterable[str]) -> "Polynomial":
         """Re-express in another ring containing every variable this uses."""
         ring = tuple(ring)
         if ring == self.ring:
             return self
+        ring = _ring(ring)
         pos = {}
         for i, name in enumerate(self.ring):
             if name in ring:
                 pos[i] = ring.index(name)
-        terms = {}
-        for mono, c in self.terms.items():
+        numerators = {}
+        for mono, v in self.numerators.items():
             new = [0] * len(ring)
             for i, e in enumerate(mono):
                 if not e:
@@ -310,8 +328,8 @@ class Polynomial:
                         f"variable {self.ring[i]!r} is used but absent from {ring}"
                     )
                 new[pos[i]] = e
-            terms[tuple(new)] = c
-        return Polynomial(ring, terms)
+            numerators[tuple(new)] = v
+        return Polynomial._over(ring, numerators, self.den)
 
 
 # -- monomial orders ----------------------------------------------------------

@@ -58,6 +58,7 @@ CASES = {
     "jac-duplicate-vars": ("jac", "--poly", "x", "--vars", "x,x", "-n", "1", *JSON),
     "jac-empty-var": ("jac", "--poly", "x", "--vars", "x,,y", "-n", "1", *JSON),
     "jac-output-digits": ("jac", "--poly", "2^14284*x^100", "--vars", "x,y", "-n", "1", *JSON),
+    "jac-cells-cap": ("jac", *CUSP, "-n", "40", *JSON),
     # singular
     "singular-origin": ("singular", *CUSP, "-n", "2", "--point", "0,0", *JSON),
     "singular-smooth": ("singular", *CUSP, "-n", "2", "--point", "1/4,1/8", *JSON),
@@ -118,6 +119,8 @@ CASES = {
     "hilbert-poly-text": ("hilbert", *CUSP, "-n", "2"),
     "hilbert-both-sources": ("hilbert", "--monomials", "x^2", *CUSP, "-n", "2", *JSON),
     "hilbert-monomials-parse-error": ("hilbert", "--monomials", "x^,y", "-n", "2", *JSON),
+    "hilbert-monomials-cap": ("hilbert", "--monomials", "x^2,y^2", "--vars", "x,y,z",
+                              "-n", "5000", *JSON),
     "hilbert-no-source": ("hilbert", "-n", "2", *JSON),
     "hilbert-poly-no-vars": ("hilbert", "--poly", "x^3-y^2", "-n", "2", *JSON),
     "hilbert-not-monomial": ("hilbert", "--monomials", "x+y", "--vars", "x,y",

@@ -3,8 +3,10 @@ sympy and the other test extras serving only as references in the tests,
 it keeps no private helper that nothing calls, one helper alone pauses the
 cyclic garbage collector, and one pass in groebner divides by a basis, with
 no substitution, on packed-int monomials and no tuple arithmetic, whose
-`_Packing` is the one bit layout of exponents, the minors' too.  The CLI
-reads the inputs of its six commands on one polynomial in one reader.
+`_Packing` is the one bit layout of exponents, the minors' too.  Only the
+polynomials and the parser read a polynomial's Fraction view `terms`; the rest
+reads its integer numerators.  The CLI reads the inputs of its six commands on
+one polynomial in one reader.
 Neither the engine nor the tests read the environment, so the suite runs
 one configuration."""
 
@@ -260,6 +262,34 @@ def test_cli_reads_polynomial_inputs_in_one_reader():
         ("cmd_hilbert", "_parse_vars"), ("cmd_hilbert", "parse_polynomial")]
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert "_add_common" not in defined
+
+
+def attribute_reads(sources: dict[str, str], attr: str) -> list[tuple[str, int]]:
+    """(module, line), sorted, of every read of the attribute `attr` in the
+    modules of `sources` (module -> text); a store is not a read."""
+    return sorted((module, node.lineno) for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_attribute_reads_fixture():
+    sources = {
+        "a": "def f(p):\n    return p.terms\nx.terms = {}\n",
+        "b": "terms = 1\ny = q.numerators\nw = len(q.terms.items())\n",
+    }
+    assert attribute_reads(sources, "terms") == [("a", 2), ("b", 3)]
+
+
+def test_engine_reads_numerators_not_the_fraction_view():
+    # the engine reads and builds a polynomial's integer numerators over its
+    # den, so no Fraction makes a round trip between two of its steps
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert [(module, line) for module, line in attribute_reads(sources, "terms")
+            if module not in ("polynomial.py", "parser.py")] == []
+    assert references(sources, {"_from_terms"}) == []
+    assert "_cleared" not in {node.name for node in ast.walk(ast.parse(sources["groebner.py"]))
+                              if isinstance(node, ast.FunctionDef)}
 
 
 ENVIRONMENT = {"environ", "getenv"}

@@ -105,6 +105,57 @@ def test_arithmetic_matches_sympy(f, raw, alpha):
         assert sympy.expand(as_sympy(ours, x) - theirs) == 0
 
 
+def assert_canonical(f):
+    """f's numerators are nonzero ints over a positive den in lowest terms,
+    the same as those of f rebuilt from its rational terms."""
+    assert f.den > 0 and math.gcd(f.den, *f.numerators.values()) == 1
+    assert all(type(v) is int and v for v in f.numerators.values())
+    assert_same(Polynomial(f.ring, f.terms), f)
+
+
+def assert_same(f, g):
+    """Equal values store equal (numerators, den) and hash alike."""
+    assert (f.ring, f.numerators, f.den) == (g.ring, g.numerators, g.den)
+    assert f == g and hash(f) == hash(g)
+
+
+RING4 = ("w",) + RING3
+NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_strategy(RING3), poly_strategy(RING3), NONZERO, st.integers(0, 3),
+       st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)))
+def test_every_operation_returns_the_canonical_form(f, g, c, k, alpha):
+    # each result is canonical, and so is every other route to the same value
+    x, y, z = Polynomial.variables(RING3)
+    for h in (f + g, f - g, f * g, f.scalar_mul(c), f ** k, f.derivative(alpha),
+              f.substitute({"x": g, "z": c}), f.to_ring(RING4), -f, f - f):
+        assert_canonical(h)
+    assert_same((f + g) - g, f)
+    assert_same(f - f, Polynomial.zero(RING3))
+    assert_same(f * g, g * f)
+    assert_same(f.scalar_mul(c).scalar_mul(1 / c), f)
+    assert_same(f.scalar_mul(c), f * Polynomial.constant(RING3, c))
+    assert_same(f ** 2, f * f)
+    assert_same(f.to_ring(RING4).to_ring(RING3), f)
+    assert_same(f.substitute({"x": x, "y": y}), f)
+    assert_same(Polynomial(RING3, {m: v * c for m, v in f.terms.items()}), f.scalar_mul(c))
+
+
+def test_canonical_form_fixtures():
+    half = P("1/2*x + 1/4*y", RING2)
+    assert (half.numerators, half.den) == ({(1, 0): 2, (0, 1): 1}, 4)
+    assert (half.scalar_mul(4).numerators, half.scalar_mul(4).den) == ({(1, 0): 2, (0, 1): 1}, 1)
+    assert (half.scalar_mul(-8).numerators, half.scalar_mul(-8).den) == (
+        {(1, 0): -4, (0, 1): -2}, 1)
+    assert ((half - half).numerators, (half - half).den) == ({}, 1)
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 4)}
+    # the engine's constructor divides by a leading coefficient of either sign
+    monic = Polynomial._over(RING2, {(1, 0): 6, (0, 1): -4}, -6)
+    assert (monic.numerators, monic.den) == ({(1, 0): -3, (0, 1): 2}, 3)
+
+
 # -- derivatives -----------------------------------------------------------
 
 
