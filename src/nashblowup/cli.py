@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import hilbert as hilbert_mod
 from . import hjac, limits
 from .groebner import BudgetExceededError, buchberger
-from .parser import NAME, RATIONAL, format_polynomial, format_rational, parse_polynomial
+from .parser import NAME, RATIONAL, ParseError, format_polynomial, format_rational, parse_polynomial
 from .polynomial import MonomialOrder, Polynomial
 
 SCHEMA_VERSION = 1
@@ -205,12 +205,17 @@ def cmd_hilbert(args) -> int:
             names = tuple(sorted(set(NAME.findall(args.monomials))))
             if not names:
                 raise InputError("cannot infer variables from --monomials")
-        exps = []
+        exps, start = [], 0  # start: the chunk's position in the argument
         for chunk in args.monomials.split(","):
-            p = parse_polynomial(chunk.strip(), names)
+            try:
+                p = parse_polynomial(chunk.strip(), names)
+            except ParseError as exc:
+                exc.position += start + len(chunk) - len(chunk.lstrip())
+                raise
             if p.den != 1 or list(p.numerators.values()) != [1]:
                 raise InputError(f"not a monomial: {chunk.strip()!r}")
             exps.append(next(iter(p.numerators)))
+            start += len(chunk) + 1
         value = hilbert_mod.graded_dim(
             hilbert_mod.MonomialIdeal(len(names), exps), args.n)
     else:

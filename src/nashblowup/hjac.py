@@ -138,34 +138,29 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     return HigherJacobian(F, n, rows, cols, cells)
 
 
-def _numerators_at(jac: HigherJacobian, point) -> tuple[list[int], int]:
-    """The table's values at p, then 0, as integers over their lcd d = S/gcd(S, numerators)."""
+def _integer_rows_at(jac: HigherJacobian, point) -> tuple[list[list[int]], int]:
+    """The evaluated matrix as int rows over d = S/gcd(S, numerators) > 0, the lcd of its
+    entries, as each nonzero Taylor value sits in row 0; p must lie on the hypersurface."""
     values, scale = _taylor_at(jac.F, point, jac.n)
     if (value := values.get((0,) * jac.F.num_vars)) is not None:
         raise PointNotOnHypersurfaceError(
             f"F({', '.join(map(str, make_point(point)))}) = {Fraction(value, scale)} != 0")
     table = [values.get(gamma, 0) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [0]
     g = math.gcd(scale, *table)
-    return [v // g for v in table], scale // g
+    table = [v // g for v in table]
+    return [list(map(table.__getitem__, row)) for row in jac.cells], scale // g
 
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:
-    """Entrywise evaluation; the point must lie on the hypersurface."""
-    table, d = _numerators_at(jac, point)
-    table = [Fraction(v, d) for v in table]
-    return [list(map(table.__getitem__, row)) for row in jac.cells]
-
-
-def _integer_rows_at(jac: HigherJacobian, point) -> list[list[int]]:
-    """`evaluate_at`'s rows times d, the lcm of the table's denominators: same rank and kernel."""
-    table, _ = _numerators_at(jac, point)
-    return [list(map(table.__getitem__, row)) for row in jac.cells]
+    """Entrywise evaluation, the `Fraction` view of `_integer_rows_at`."""
+    rows, d = _integer_rows_at(jac, point)
+    return [[Fraction(v, d) for v in row] for row in rows]
 
 
 def rank_at(F: Polynomial, n: int, point) -> int:
     """Exact rank over Q of the evaluated order-n matrix: the number of
     pivots of its integer row echelon form, with no back-substitution."""
-    return linalg.rank(_integer_rows_at(build(F, n), point))
+    return linalg.rank(_integer_rows_at(build(F, n), point)[0])
 
 
 def is_singular(F: Polynomial, n: int, point) -> bool:
@@ -178,7 +173,7 @@ def tangent_space(F: Polynomial, n: int, point) -> list[list[Fraction]]:
     """Kernel basis of the evaluated matrix at a non-singular point, read
     off its integer echelon form once back-substitution has cleared each
     pivot column above its pivot."""
-    rows = _integer_rows_at(build(F, n), point)
+    rows, _ = _integer_rows_at(build(F, n), point)
     basis = linalg.kernel_basis(rows, width=len(rows[0]))
     M, C = shape(F.num_vars, n)
     if C - len(basis) < M:

@@ -141,8 +141,8 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     every x_i*g for g in the grevlex basis of (F) + I, are their classes in
     I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F); a g that is F up to
     a scalar is skipped, as x_i*F lies in (F).  One division pass gives each
-    as integer terms r over a denominator d, and the rref of the columns
-    r*(D/d), D the lcm of the d, is theirs over Q, one scale serving all.
+    as integer terms r over a denominator d, and `linalg._reduced` gives the
+    rref of the int columns r*(D/d), D the lcm of the d, as ints over one d.
     In reverse u order, its pivots are the free minors latest in that order,
     so each other column J is a combination of free columns after it:
     u_J - sum c_Jf*u_f, leading term u_J in grevlex.  Of about mu*lambda
@@ -158,14 +158,13 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     scale = math.lcm(*(d for _, d in remainders))
     columns = [(r, scale // d) for r, d in remainders]
     monomials = sorted({m for r, _ in columns for m in r})
-    R, pivots = linalg.rref([[r.get(m, 0) * k for r, k in columns] for m in monomials])
+    R, d, pivots = linalg._reduced([[r.get(m, 0) * k for r, k in columns] for m in monomials])
     width = len(deltas)
     last = width - 1  # column c holds u_(last - c)
     linear = []
     for c in sorted(set(range(width)) - set(pivots)):
-        terms = {_unit(last - c, width): 1}
-        terms.update((_unit(last - p, width), -R[r][c]) for r, p in enumerate(pivots) if R[r][c])
-        linear.append(Polynomial(unames, terms))
+        tail = {_unit(last - p, width): -R[r][c] for r, p in enumerate(pivots) if R[r][c]}
+        linear.append(Polynomial._over(unames, {_unit(last - c, width): d} | tail, d))
     return sorted(last - p for p in pivots), linear
 
 
@@ -237,9 +236,9 @@ def _linear_row(g: Polynomial) -> list[int] | None:
 def _restricted(gens: list[Polynomial], rows, ring) -> list[Polynomial]:
     """`gens` modulo the linear forms of the rref of `rows`, which are their
     reduced grevlex basis, as each row's pivot is its leading term."""
-    R, pivots = linalg.rref(rows)
-    forms = [Polynomial(ring, {_unit(j, len(ring)): c for j, c in enumerate(row) if c})
-             for row in R[:len(pivots)]]
+    R, den, _ = linalg._reduced(rows)
+    forms = [Polynomial._over(ring, {_unit(j, len(ring)): c for j, c in enumerate(row) if c}, den)
+             for row in R]
     return [Polynomial._over(ring, r, d) for r, d in _remainders(gens, forms, grevlex(), ring)]
 
 

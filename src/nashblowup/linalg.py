@@ -1,10 +1,10 @@
 """Exact linear algebra over Q: rank, RREF and kernels, read off an integer
 elimination of the rows cleared of denominators (a row of ints, as `hjac`
 hands it, is taken as it is).  Forward elimination (`_eliminate`) brings
-the rows to row echelon form, which is all `rank` needs; `rref` and
-`kernel_basis` then clear each pivot column above its pivot in one
-back-substitution pass (`_back_substitute`).  Both steps make each row they
-update primitive.  Only exact rational scalars enter."""
+the rows to row echelon form, which is all `rank` needs; `_reduced` and
+`kernel_basis` then clear each pivot column above its pivot in one pass
+(`_back_substitute`).  Both steps make each row they update primitive.
+`_reduced` keeps the RREF as ints over one denominator; `rref` is its view."""
 
 from __future__ import annotations
 
@@ -87,19 +87,24 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_eliminate(_cleared(rows)))
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, exact over Q."""
+def _reduced(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]:
+    """The nonzero RREF rows as ints over their lcd d > 0, so that each pivot
+    entry is d, and the pivot columns: equal row spaces give equal results.
+    Row/p, p its pivot, is row/g over |p|/g in lowest terms, g = gcd(row)."""
     work = _cleared(rows)
     pivots = _eliminate(work)
     _back_substitute(work, pivots)
-    # each pivot row divided by its pivot, one shared zero for the zero entries
+    d = lcm(*(abs(row[col]) // gcd(*row) for row, col in zip(work, pivots)))
+    return [[x * d // row[col] for x in row] for row, col in zip(work, pivots)], d, pivots
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns, exact over Q: `_reduced`'s
+    rows over d, then the zero rows, one shared zero for the zero entries."""
+    R, d, pivots = _reduced(rows)
     zero = Fraction(0)
-    R = []
-    for row, col in zip(work, pivots):
-        p = row[col]
-        R.append([Fraction(x, p) if x else zero for x in row])
-    R += [[zero] * len(row) for row in work[len(pivots):]]
-    return R, pivots
+    R = [[Fraction(x, d) if x else zero for x in row] for row in R]
+    return R + [[zero] * len(rows[0]) for _ in range(len(rows) - len(R))], pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:

@@ -266,6 +266,15 @@ def test_hilbert_requires_exactly_one_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("monomials, position", [
+    ("x^,y", 2), ("x, y^2, z^", 10), ("x,w", 2), ("  x,  y^ ", 8), ("x,,y", 2)])
+def test_hilbert_monomials_parse_error_positions_are_in_the_argument(capsys, monomials, position):
+    # each chunk is parsed alone; its error points into the whole argument
+    code, _, err = run(capsys, "hilbert", "--monomials", monomials, "--vars", "x,y,z", "-n", "2")
+    assert code == 2
+    assert f" at position {position} " in err
+
+
 def test_hilbert_origin_precondition(capsys):
     code, _, err = run(capsys, "hilbert", "--poly", "x+1", "--vars", "x,y", "-n", "2")
     assert code == 3

@@ -119,6 +119,8 @@ CASES = {
     "hilbert-poly-text": ("hilbert", *CUSP, "-n", "2"),
     "hilbert-both-sources": ("hilbert", "--monomials", "x^2", *CUSP, "-n", "2", *JSON),
     "hilbert-monomials-parse-error": ("hilbert", "--monomials", "x^,y", "-n", "2", *JSON),
+    "hilbert-monomials-parse-error-later-chunk": ("hilbert", "--monomials", "x, y^2, z^",
+                                                  "-n", "2", *JSON),
     "hilbert-monomials-cap": ("hilbert", "--monomials", "x^2,y^2", "--vars", "x,y,z",
                               "-n", "5000", *JSON),
     "hilbert-no-source": ("hilbert", "-n", "2", *JSON),

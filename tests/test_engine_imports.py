@@ -5,7 +5,8 @@ cyclic garbage collector, and one pass in groebner divides by a basis, with
 no substitution, on packed-int monomials and no tuple arithmetic, whose
 `_Packing` is the one bit layout of exponents, the minors' too.  Only the
 polynomials and the parser read a polynomial's Fraction view `terms`; the rest
-reads its integer numerators.  The CLI reads the inputs of its six commands on
+reads its integer numerators, and only polynomial.py calls the public
+`Polynomial(...)` constructor.  The CLI reads the inputs of its six commands on
 one polynomial in one reader.
 Neither the engine nor the tests read the environment, so the suite runs
 one configuration."""
@@ -290,6 +291,33 @@ def test_engine_reads_numerators_not_the_fraction_view():
     assert references(sources, {"_from_terms"}) == []
     assert "_cleared" not in {node.name for node in ast.walk(ast.parse(sources["groebner.py"]))
                               if isinstance(node, ast.FunctionDef)}
+
+
+def calls_of(sources: dict[str, str], name: str) -> list[tuple[str, int]]:
+    """(module, line), sorted, of every call of `name` in the modules of
+    `sources` (module -> text), by the name or as an attribute; a reference
+    that is not called is not a call."""
+    return sorted((module, node.lineno) for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_calls_of_fixture():
+    sources = {
+        "a": ("from .polynomial import Polynomial\np = Polynomial(ring, {})\n"
+              "def f(ring):\n    return [Polynomial(ring, t) for t in ts]\n"),
+        "b": ("import polynomial\nq = polynomial.Polynomial(ring)\n"
+              "r = Polynomial._over(ring, {}, 1)\nkind = Polynomial\nz = Polynomial.zero(ring)\n"),
+    }
+    assert calls_of(sources, "Polynomial") == [("a", 2), ("a", 4), ("b", 2)]
+
+
+def test_engine_builds_polynomials_from_numerators():
+    # outside polynomial.py the engine builds with `_over`, `zero`, `constant`
+    # or `variable`, never from Fraction terms through the public constructor
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert [(module, line) for module, line in calls_of(sources, "Polynomial")
+            if module != "polynomial.py"] == []
 
 
 ENVIRONMENT = {"environ", "getenv"}

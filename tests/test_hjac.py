@@ -318,9 +318,9 @@ LARGE_DENOMINATORS = [
 
 @pytest.mark.parametrize("text", sorted(ON_HYPERSURFACE))
 def test_integer_rows_give_the_rank_and_kernel_of_the_fraction_matrix(text):
-    # rank_at and tangent_space eliminate evaluate_at's rows times d, the lcm
-    # of their denominators (every Taylor value of degree 1..n sits in row 0);
-    # linalg on the Fraction matrix is the reference
+    # rank_at and tangent_space eliminate the integer rows over d, the lcm of
+    # evaluate_at's denominators (every Taylor value of degree 1..n sits in
+    # row 0); linalg on the Fraction matrix is the reference
     ring, param = ON_HYPERSURFACE[text]
     F = P(text, ring)
     points = [(Fraction(0),) * len(ring)] + [param(t, s) for t, s in LARGE_DENOMINATORS]
@@ -330,7 +330,8 @@ def test_integer_rows_give_the_rank_and_kernel_of_the_fraction_matrix(text):
             jac = build(F, n)
             reference = evaluate_at(jac, p)
             d = math.lcm(*(x.denominator for row in reference for x in row))
-            rows = hjac._integer_rows_at(jac, p)
+            rows, denominator = hjac._integer_rows_at(jac, p)
+            assert denominator == d
             assert rows == [[d * x for x in row] for row in reference]
             assert {type(x) for row in rows for x in row} == {int}
             assert rank_at(F, n, p) == linalg.rank(reference)

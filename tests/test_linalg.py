@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +25,12 @@ def test_rref_fixture():
     assert pivots == [0, 2]
     assert R[0] == [1, 2, 0]
     assert R[1] == [0, 0, 1]
+
+
+def test_reduced_fixture():
+    # rref [[1, 0, -1/6], [0, 1, 1/3]] as ints over its lcd 6
+    assert linalg._reduced([[2, 1, 0], [0, 3, 1], [2, 4, 1]]) == ([[6, 0, -1], [0, 6, 2]], 6, [0, 1])
+    assert linalg._reduced([[0, 0]]) == ([], 1, [])
 
 
 def test_kernel_fixture():
@@ -125,6 +132,31 @@ def low_rank_strategy():
         st.just(d[1]))).map(lambda ab: [
             [sum((a[t] * ab[1][t][j] for t in range(len(a))), Fraction(0)) for j in range(ab[2])]
             for a in ab[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrix_strategy(), low_rank_strategy()), st.data())
+def test_reduced_is_the_canonical_integer_rref(rows, data):
+    # the nonzero rref rows as ints over their lcd d > 0, each pivot entry d,
+    # a function of the row space alone
+    R, d, pivots = linalg._reduced(rows)
+    expected, expected_pivots = linalg.rref(rows)
+    assert pivots == expected_pivots
+    assert d > 0 and d == math.lcm(*(x.denominator for row in expected for x in row))
+    assert all(R[r][p] == d for r, p in enumerate(pivots))
+    assert {type(x) for row in R for x in row} <= {int}
+    assert [[Fraction(x, d) for x in row] for row in R] == expected[:len(pivots)]
+    assert not any(map(any, expected[len(pivots):]))
+    # the same row space: the rows each times a nonzero int, and the rows
+    # with integer combinations of them, shuffled
+    k, n = len(rows), len(rows[0])
+    scales = data.draw(st.lists(st.integers(-4, 4).filter(bool), min_size=k, max_size=k))
+    combinations = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                      max_size=4))
+    more = rows + [[sum((c * row[j] for c, row in zip(cs, rows)), Fraction(0)) for j in range(n)]
+                   for cs in combinations]
+    assert linalg._reduced([[c * x for x in row] for c, row in zip(scales, rows)]) == (R, d, pivots)
+    assert linalg._reduced(data.draw(st.permutations(more))) == (R, d, pivots)
 
 
 def assert_matches_sympy(rows):
