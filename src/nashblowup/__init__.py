@@ -16,7 +16,6 @@ from .hjac import (
     PointNotOnHypersurfaceError,
     SingularPointError,
     build,
-    evaluate_at,
     is_singular,
     maximal_minors,
     nash_ideal,

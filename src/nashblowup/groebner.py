@@ -62,13 +62,14 @@ class _Packing(dict):
     """The order-encoding packing K of the monomials of `ring` under `order`:
     `self[m]` packs the exponent tuple m into an int, once per call.  From the
     top, K holds the fields of `order.key_func(ring)`, each -e_i as cap - e_i,
-    then the total degree, each of `width` value bits under a guard bit; cap =
+    then the total degree, each of max(width, 1) value bits under a guard bit; cap =
     2^width - 1 bounds every degree.  K is affine, so `a < b` is the order,
     a + b - K(1) the product, lt - g_lt the shift of a division step and
     `k & cap` the degree; g divides m iff `(m - (g - borrow)) & guard == plus`."""
 
     def __init__(self, ring, order: MonomialOrder, width: int):
         super().__init__()
+        width = max(width, 1)
         self.ring, self.width, self.cap = tuple(ring), width, (cap := (1 << width) - 1)
         self.graded = order.kind in ("grlex", "grevlex")
         blocks = [every := list(range(len(ring)))]
@@ -123,12 +124,12 @@ def _packed(run, ring, order: MonomialOrder, polys: list[Polynomial]):
     """run(K) under the packing of (ring, order) whose cap holds twice the largest
     degree of `polys`, and again under double the width while a degree past the
     cap raises OverflowError."""
-    width = max(1, 2 * max((max(map(sum, p.numerators)) for p in polys if p), default=0)).bit_length()
+    width = (2 * max((max(map(sum, p.numerators)) for p in polys if p), default=0)).bit_length()
     while True:
         try:
-            return run(_Packing(ring, order, width))
+            return run(K := _Packing(ring, order, width))
         except OverflowError:
-            width *= 2
+            width = 2 * K.width
 
 
 def _entry(terms: dict, K: _Packing) -> tuple | None:
@@ -170,8 +171,6 @@ def _reduce_int(terms: dict, basis: Sequence[tuple], K: _Packing, budget) -> tup
                 a = g_lc // d
                 b = c // d
                 if a != 1:
-                    if a < 0:
-                        a, b = -a, -b
                     work = {m: v * a for m, v in work.items()}
                     remainder = {m: v * a for m, v in remainder.items()}
                     scale *= a

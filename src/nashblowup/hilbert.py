@@ -82,17 +82,17 @@ def local_hilbert(F: Polynomial, n: int) -> int:
 
 
 def nonsingular_by_dimension(F: Polynomial, n: int, point) -> bool:
-    """Dimension criterion: p is non-singular iff
-    dim m_p/m_p^(n+1) = C(n+s-1, s-1) - 1, the sum over k = 1..n of the
-    local Hilbert function, a closed form in the order e of F at p, the least
-    degree of F(x + p).  The sum is C(n+s-1, s-1) - 1 at e = 1 and larger for
-    e >= 2, each term being at least its e = 1 value and the k = 1 term s, not
-    s - 1: min(e, 2) decides, so F(x + p) is expanded to degree 1 only."""
+    """Dimension criterion: p is non-singular iff dim m_p/m_p^(n+1), the sum over
+    k = 1..n of the local Hilbert function, is C(n+s-1, s-1) - 1.  In the order e
+    of F at p, the least degree of F(x + p), it is C(n+s, s) - 1 - C(n-e+s, s), the
+    last term 0 for n < e: C(n+s-1, s-1) - 1 at e = 1 and larger for e >= 2, each
+    term being at least its e = 1 value and the k = 1 term s, not s - 1: min(e, 2)
+    decides, so F(x + p) is expanded to degree 1 only."""
     _check_input(F, n)
     coefficients, _ = _taylor_at(F, point, 1)
     if (0,) * F.num_vars in coefficients:
         raise PointNotOnHypersurfaceError("point is not on the hypersurface")
     s = F.num_vars
     e = min(map(sum, coefficients), default=2)
-    total = sum(_graded_count(s, k, e) for k in range(1, n + 1))
+    total = math.comb(n + s, s) - 1 - (math.comb(n - e + s, s) if n >= e else 0)
     return total == math.comb(n + s - 1, s - 1) - 1

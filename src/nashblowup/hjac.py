@@ -76,11 +76,6 @@ class HigherJacobian:
         """The M x (N-1) grid of entries, read from the table through the cells."""
         return tuple(tuple(map(self.taylor.__getitem__, row)) for row in self.cells)
 
-    def entry(self, beta: mi.MultiIndex, alpha: mi.MultiIndex) -> Polynomial:
-        i = self.row_labels.index(tuple(beta))
-        j = self.col_labels.index(tuple(alpha))
-        return self.taylor[self.cells[i][j]]
-
 
 def shape(s: int, n: int) -> tuple[int, int]:
     """(M, N-1): rows and columns of the order-n matrix in s variables."""
@@ -138,13 +133,20 @@ def build(F: Polynomial, n: int) -> HigherJacobian:
     return HigherJacobian(F, n, rows, cols, cells)
 
 
+def _shown(x: Fraction) -> str:
+    """str(x), or its size where it has more digits than int() converts to a string."""
+    with contextlib.suppress(ValueError):
+        return str(x)
+    return f"a {max(x.numerator.bit_length(), x.denominator.bit_length()):,}-bit number"
+
+
 def _integer_rows_at(jac: HigherJacobian, point) -> tuple[list[list[int]], int]:
     """The evaluated matrix as int rows over d = S/gcd(S, numerators) > 0, the lcd of its
     entries, as each nonzero Taylor value sits in row 0; p must lie on the hypersurface."""
     values, scale = _taylor_at(jac.F, point, jac.n)
     if (value := values.get((0,) * jac.F.num_vars)) is not None:
-        raise PointNotOnHypersurfaceError(
-            f"F({', '.join(map(str, make_point(point)))}) = {Fraction(value, scale)} != 0")
+        at = ", ".join(map(_shown, make_point(point)))
+        raise PointNotOnHypersurfaceError(f"F({at}) = {_shown(Fraction(value, scale))} != 0")
     table = [values.get(gamma, 0) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [0]
     g = math.gcd(scale, *table)
     table = [v // g for v in table]

@@ -258,7 +258,7 @@ def describe_planes(generators):
     if not generators:
         return None
     ring = generators[0].ring
-    found: dict = {}  # canonical basis -> None, in discovery order
+    found: dict = {}  # a plane's RREF basis as int rows -> their denominator, in discovery order
     work = [(list(generators), [], 0)]
     while work:
         gens, rows, depth = work.pop()
@@ -275,8 +275,8 @@ def describe_planes(generators):
                 return None
             work.append((gens, rows + new, depth))  # the batch then restricts to 0
         elif not gens:
-            basis = linalg.kernel_basis(rows, width=len(ring))
-            found[tuple(tuple(v) for v in linalg.rref(basis)[0])] = None
+            R, d, _ = linalg._reduced(linalg.kernel_basis(rows, width=len(ring)))
+            found[tuple(map(tuple, R))] = d
         elif factors[0] is None:
             return None
         else:
@@ -290,6 +290,6 @@ def describe_planes(generators):
 
     # keep the subspaces maximal under inclusion; a key is a canonical
     # basis, so two different keys span different subspaces, and it has no
-    # zero row, so its rank is its length
-    return tuple(p for p in found if not any(
-        q != p and len(q) == linalg.rank(q + p) for q in found))
+    # zero row, so its rank is its length; the rows go out over their d
+    return tuple(tuple(tuple(Fraction(x, d) for x in row) for row in p) for p, d in found.items()
+                 if not any(q != p and len(q) == linalg.rank(q + p) for q in found))

@@ -4,7 +4,7 @@ hands it, is taken as it is).  Forward elimination (`_eliminate`) brings
 the rows to row echelon form, which is all `rank` needs; `_reduced` and
 `kernel_basis` then clear each pivot column above its pivot in one pass
 (`_back_substitute`).  Both steps make each row they update primitive.
-`_reduced` keeps the RREF as ints over one denominator; `rref` is its view."""
+`_reduced` keeps the RREF as ints over one denominator."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from typing import Sequence
 from .polynomial import _coerce_scalar
 
 Vector = list[Fraction]
-Matrix = list[list[Fraction]]
 
 
 def _clear_column(work: list[list[int]], rows: range, top: list[int], col: int) -> None:
@@ -96,15 +95,6 @@ def _reduced(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]
     _back_substitute(work, pivots)
     d = lcm(*(abs(row[col]) // gcd(*row) for row, col in zip(work, pivots)))
     return [[x * d // row[col] for x in row] for row, col in zip(work, pivots)], d, pivots
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns, exact over Q: `_reduced`'s
-    rows over d, then the zero rows, one shared zero for the zero entries."""
-    R, d, pivots = _reduced(rows)
-    zero = Fraction(0)
-    R = [[Fraction(x, d) if x else zero for x in row] for row in R]
-    return R + [[zero] * len(rows[0]) for _ in range(len(rows) - len(R))], pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], width: int | None = None) -> list[Vector]:

@@ -52,6 +52,15 @@ def sympy_det(rows):
                              for m, c in det.as_dict().items()})
 
 
+def sympy_rref(rows):
+    """sympy's RREF of a matrix of exact rationals: its nonzero rows, as lists
+    of Fractions, and its pivot columns."""
+    R, pivots = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                              for row in rows]).rref()
+    return ([[Fraction(int(c.p), int(c.q)) for c in R.row(r)] for r in range(len(pivots))],
+            list(pivots))
+
+
 def factorial(alpha):
     """alpha! = alpha_1! * ... * alpha_s!."""
     return math.prod(map(math.factorial, alpha))
@@ -65,6 +74,11 @@ def taylor_coeff(f, alpha):
 def sub(alpha, beta):
     """The multi-index alpha - beta, for beta <= alpha componentwise."""
     return tuple(a - b for a, b in zip(alpha, beta))
+
+
+def entry(jac, beta, alpha):
+    """The (beta, alpha) entry of a `HigherJacobian`, read from its grid by the labels."""
+    return jac.entries[jac.row_labels.index(tuple(beta))][jac.col_labels.index(tuple(alpha))]
 
 
 def translate(f, point):

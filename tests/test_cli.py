@@ -1,8 +1,12 @@
 import argparse
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashblowup import cli, hjac
 from nashblowup.cli import main
@@ -428,3 +432,31 @@ def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(capsys, 
     assert run(capsys, *argv)[0] == 7
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+# -- exit codes on random input ------------------------------------------------
+
+_COMMANDS = [(name, str(n)) for name in ("jac", "singular", "tangent", "minors", "nashideal")
+             for n in (1, 2)] + [("limits", "1")]
+_coefficients = st.integers(-3, 3)
+# constants, zero among them, and up to three terms, which may cancel to zero
+_polynomials = st.one_of(_coefficients.map(str), st.lists(
+    st.tuples(_coefficients, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3).map(
+    lambda terms: " + ".join(f"({c})*x^{a}*y^{b}" for c, a, b in terms)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_COMMANDS), _polynomials,
+       st.lists(st.sampled_from(["0", "0", "1", "-1", "1/2"]), min_size=2, max_size=2))
+def test_random_input_exits_with_a_documented_code(command, poly, point):
+    # every outcome is one of the documented exit codes; no exception escapes
+    # main, for constants and the zero polynomial too
+    name, n = command
+    argv = [name, "--poly", poly, "--vars", "x,y", "-n", n]
+    if name in ("singular", "tangent", "limits"):
+        argv.append("--point=" + ",".join(point))  # "-1,0" alone would read as an option
+    if name == "limits":
+        argv += ["--max-pairs", "200"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)

@@ -67,6 +67,8 @@ CASES = {
     "singular-decimal": ("singular", *CUSP, "-n", "2", "--point", "1.0,1", *JSON),
     "singular-bad-rational": ("singular", *CUSP, "-n", "2", "--point", "1/0,1", *JSON),
     "singular-point-grammar": ("singular", *CUSP, "-n", "1", "--point", "1e3000000,0", *JSON),
+    "singular-off-surface-digits": ("singular", "--poly", "x^4-y", "--vars", "x,y", "-n", "1",
+                                    "--point", "9" * 1200 + ",0", *JSON),
     "singular-arity": ("singular", *CUSP, "-n", "2", "--point", "1", *JSON),
     # tangent
     "tangent": ("tangent", *CUSP, "-n", "2", "--point", "1,1", *JSON),
@@ -81,11 +83,13 @@ CASES = {
     "minors-order-0": ("minors", *CUSP, "-n", "0", *JSON),
     "minors-cap": ("minors", *SURFACE, "-n", "4", *JSON),
     "minors-partial-cap": ("minors", *CUSP, "-n", "6", *JSON),
+    "minors-constant": ("minors", "--poly", "5", "--vars", "x,y", "-n", "1", *JSON),
     # nashideal
     "nashideal-surface": ("nashideal", *SURFACE, "-n", "2", *JSON),
     "nashideal-cusp": ("nashideal", *CUSP, "-n", "2", *JSON),
     "nashideal-cusp-text": ("nashideal", *CUSP, "-n", "2"),
     "nashideal-order-0": ("nashideal", *CUSP, "-n", "0", *JSON),
+    "nashideal-constant": ("nashideal", "--poly", "5", "--vars", "x,y", "-n", "1", *JSON),
     # limits
     "limits-cusp": _limits("x^3-y^2", *JSON),
     "limits-cusp-text": _limits("x^3-y^2"),

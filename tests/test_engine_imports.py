@@ -355,3 +355,19 @@ def test_engine_and_tests_read_no_environment():
     paths = sorted(ENGINE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     sources = {f"{path.parent.name}/{path.name}": path.read_text() for path in paths}
     assert environment_reads(sources) == []
+
+
+def test_engine_keeps_no_test_only_view():
+    # linalg keeps the RREF as integer rows alone (sympy is the tests' Fraction
+    # reference), the matrix has no entry lookup by labels (conftest's `entry`),
+    # and the package does not export the Fraction view `hjac.evaluate_at`
+    trees = {name: ast.parse((ENGINE / name).read_text())
+             for name in ("linalg.py", "hjac.py", "__init__.py")}
+    assert "rref" not in {node.name for node in trees["linalg.py"].body
+                          if isinstance(node, ast.FunctionDef)}
+    [matrix] = [node for node in trees["hjac.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "HigherJacobian"]
+    assert "entry" not in {node.name for node in matrix.body if isinstance(node, ast.FunctionDef)}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "evaluate_at" not in exported

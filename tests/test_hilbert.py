@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nashblowup import multiindex as mi
-from nashblowup.hilbert import MonomialIdeal, graded_dim, local_hilbert, \
+from nashblowup.hilbert import MonomialIdeal, _graded_count, graded_dim, local_hilbert, \
     nonsingular_by_dimension
 from nashblowup.hjac import PointNotOnHypersurfaceError, is_singular, rank_at, shape
 from nashblowup.polynomial import Polynomial, grevlex
@@ -169,6 +169,26 @@ def test_nonsingular_by_dimension_checks_the_order():
             is_singular(F, n, (1, 1))
         with pytest.raises(ValueError, match="order must be >= 1"):
             nonsingular_by_dimension(F, n, (1, 1))
+
+
+def test_dimension_sum_telescopes():
+    # the closed form nonsingular_by_dimension compares, against the sum of
+    # the graded pieces one degree at a time
+    for s in range(1, 6):
+        for e in range(1, 40):
+            total = 0
+            for n in range(1, 30):
+                total += _graded_count(s, n, e)
+                assert total == math.comb(n + s, s) - 1 - (math.comb(n - e + s, s) if n >= e else 0)
+
+
+def test_nonsingular_by_dimension_at_a_huge_order():
+    # a closed form in n, so n = 10^9 costs no more than n = 2
+    n = 10**9
+    assert nonsingular_by_dimension(P(CUSP, RING2), n, (1, 1))
+    assert not nonsingular_by_dimension(P(CUSP, RING2), n, (0, 0))
+    assert nonsingular_by_dimension(P(SURF, RING3), n, (16, 1, 2))
+    assert not nonsingular_by_dimension(P(SURF, RING3), n, (0, 0, 0))
 
 
 def translate(F, p):

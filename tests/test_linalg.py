@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from nashblowup import hjac, linalg
 from nashblowup.parser import parse_polynomial
 
+from conftest import sympy_rref
+
 
 def test_rank_fixtures():
     assert linalg.rank([]) == 0
@@ -21,8 +23,8 @@ def test_rank_fixtures():
 
 
 def test_rref_fixture():
-    R, pivots = linalg.rref([[2, 4, 0], [1, 2, 1]])
-    assert pivots == [0, 2]
+    R, d, pivots = linalg._reduced([[2, 4, 0], [1, 2, 1]])
+    assert pivots == [0, 2] and d == 1
     assert R[0] == [1, 2, 0]
     assert R[1] == [0, 0, 1]
 
@@ -48,7 +50,7 @@ def test_kernel_empty_matrix_needs_width():
 
 @pytest.mark.parametrize("call", [
     lambda: linalg.rank([[0.1, 0.2]]),
-    lambda: linalg.rref([[0.5, 1]]),
+    lambda: linalg._reduced([[0.5, 1]]),
     lambda: linalg.kernel_basis([[1, Fraction(1, 2)], [2, 1.0]]),
     lambda: linalg.rank([[1, Decimal("0.5")]]),
     lambda: linalg.rank([["1/2", 1]]),
@@ -60,14 +62,14 @@ def test_inexact_scalars_are_refused(call):
 
 def test_exact_scalars_of_every_kind_are_taken():
     assert linalg.rank([[True, 2], [Fraction(1, 2), 1]]) == 1
-    assert linalg.rref([[2, 4], [1, Fraction(3)]])[0] == [[1, 0], [0, 1]]
+    assert linalg._reduced([[2, 4], [1, Fraction(3)]]) == ([[1, 0], [0, 1]], 1, [0, 1])
 
 
 def test_ragged_rows_are_refused():
     with pytest.raises(ValueError, match="widths 2 and 1"):
         linalg.rank([[1, 2], [3]])
     with pytest.raises(ValueError, match="widths 1 and 3"):
-        linalg.rref([[Fraction(1, 2)], [1, 2, 3]])
+        linalg._reduced([[Fraction(1, 2)], [1, 2, 3]])
 
 
 def test_kernel_width_must_match_the_rows():
@@ -80,7 +82,7 @@ def test_integer_rows_are_left_as_they_are():
     # a row of ints is eliminated as given; the caller's rows are not written into
     rows = [[2, 4, 6], [1, 2, 4], [0, 0, 0]]
     copy = [list(row) for row in rows]
-    assert linalg.rref(rows) == ([[1, 2, 0], [0, 0, 1], [0, 0, 0]], [0, 2])
+    assert linalg._reduced(rows) == ([[1, 2, 0], [0, 0, 1]], 1, [0, 2])
     assert linalg.kernel_basis(rows) == [[-2, 1, 0]]
     assert linalg.rank(rows) == 2 and rows == copy
 
@@ -108,10 +110,10 @@ def test_rank_nullity(rows):
 @settings(max_examples=60, deadline=None)
 @given(matrix_strategy())
 def test_rref_consistent_with_rank(rows):
-    R, pivots = linalg.rref(rows)
-    assert len(pivots) == linalg.rank(rows)
+    R, d, pivots = linalg._reduced(rows)
+    assert len(pivots) == len(R) == linalg.rank(rows)
     for r, p in enumerate(pivots):
-        assert R[r][p] == 1
+        assert R[r][p] == d
         for i in range(len(R)):
             if i != r:
                 assert R[i][p] == 0
@@ -140,13 +142,12 @@ def test_reduced_is_the_canonical_integer_rref(rows, data):
     # the nonzero rref rows as ints over their lcd d > 0, each pivot entry d,
     # a function of the row space alone
     R, d, pivots = linalg._reduced(rows)
-    expected, expected_pivots = linalg.rref(rows)
+    expected, expected_pivots = sympy_rref(rows)
     assert pivots == expected_pivots
     assert d > 0 and d == math.lcm(*(x.denominator for row in expected for x in row))
     assert all(R[r][p] == d for r, p in enumerate(pivots))
     assert {type(x) for row in R for x in row} <= {int}
-    assert [[Fraction(x, d) for x in row] for row in R] == expected[:len(pivots)]
-    assert not any(map(any, expected[len(pivots):]))
+    assert [[Fraction(x, d) for x in row] for row in R] == expected
     # the same row space: the rows each times a nonzero int, and the rows
     # with integer combinations of them, shuffled
     k, n = len(rows), len(rows[0])
@@ -160,10 +161,10 @@ def test_reduced_is_the_canonical_integer_rref(rows, data):
 
 
 def assert_matches_sympy(rows):
-    expected, expected_pivots = to_sympy(rows).rref()
-    R, pivots = linalg.rref(rows)
-    assert pivots == list(expected_pivots)
-    assert to_sympy(R) == expected
+    expected, expected_pivots = sympy_rref(rows)
+    R, d, pivots = linalg._reduced(rows)
+    assert pivots == expected_pivots
+    assert [[Fraction(x, d) for x in row] for row in R] == expected
     assert linalg.rank(rows) == len(expected_pivots)
     kernel = linalg.kernel_basis(rows, width=len(rows[0]))
     assert [to_sympy([v]).T for v in kernel] == to_sympy(rows).nullspace()
@@ -203,7 +204,7 @@ def test_match_sympy_on_order_four_jacobians(point):
 
 
 def test_rank_needs_no_back_substitution(monkeypatch):
-    # rank reads the pivots off the echelon form; only rref and
+    # rank reads the pivots off the echelon form; only _reduced and
     # kernel_basis clear the pivot columns above their pivots
     F = parse_polynomial("x*y - z^4", ("x", "y", "z"))
     jac = hjac.build(F, 4)
@@ -217,7 +218,7 @@ def test_rank_needs_no_back_substitution(monkeypatch):
     assert linalg.rank(rows) == 20
     assert linalg.rank(hjac.evaluate_at(jac, origin)) == 10
     with pytest.raises(AssertionError, match="back-substitution"):
-        linalg.rref(rows)
+        linalg._reduced(rows)
     with pytest.raises(AssertionError, match="back-substitution"):
         linalg.kernel_basis(rows)
 
