@@ -125,9 +125,10 @@ def _minor_entries(table, names=()) -> list[dict]:
     return entries
 
 
-def _minor_lines(entries) -> list[str]:
-    return [f"{e.get('u', 'u_' + str(e['index']))} {_label(e['columns'])} = {e['minor']}"
-            for e in entries]
+def _minor_lines(entries, ring) -> list[str]:
+    """One line per minor, led by the name of its u in a limit ideal over `ring`, F's ring."""
+    names = limits.u_names(ring, len(entries))
+    return [f"{u} {_label(e['columns'])} = {e['minor']}" for e, u in zip(entries, names)]
 
 
 def cmd_minors(args) -> int:
@@ -135,7 +136,7 @@ def cmd_minors(args) -> int:
     table = hjac.maximal_minors(F, args.n)
     entries = _minor_entries(table)
     _emit(args, {"count": len(table), "minors": entries},
-          lambda: [f"{len(table)} minors"] + _minor_lines(entries))
+          lambda: [f"{len(table)} minors", *_minor_lines(entries, F.ring)])
     return EXIT_OK
 
 
@@ -146,7 +147,7 @@ def cmd_nashideal(args) -> int:
     table = hjac.maximal_minors(F, args.n)
     gens = [format_polynomial(g) for g in ideal.generators]
     _emit(args, {"minor_count": len(table), "generators": gens},
-          lambda: [f"{len(table)} minors", *_minor_lines(_minor_entries(table)),
+          lambda: [f"{len(table)} minors", *_minor_lines(_minor_entries(table), F.ring),
                    f"nash ideal modulo <F>: {len(gens)} generators", *("  " + g for g in gens)])
     return EXIT_OK
 
@@ -165,7 +166,7 @@ def cmd_limits(args) -> int:
                      "lambda_size": len(entries),
                      "minors": entries,
                      "error": str(exc)},
-              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries),
+              lambda: [f"lambda size {len(entries)}", *_minor_lines(entries, F.ring),
                        f"resource budget exceeded: {exc}"])
         return EXIT_BUDGET
     oracle = limits.containment_oracle(result)
@@ -175,7 +176,7 @@ def cmd_limits(args) -> int:
 
     def lines():
         yield f"lambda size {result.lambda_size}"
-        yield from _minor_lines(entries)
+        yield from _minor_lines(entries, F.ring)
         yield f"limit ideal (block order): {len(gens)} generators"
         yield from ("  " + g for g in gens)
         yield f"containment oracle: {'pass' if oracle else 'FAIL'}"

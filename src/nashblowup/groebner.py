@@ -36,7 +36,7 @@ from .polynomial import (
 
 class BudgetExceededError(RuntimeError):
     """A configured resource cap (pairs, reduction steps, `hjac.MAX_MINORS`,
-    `hjac.MAX_CELLS`, `hilbert.MAX_MONOMIALS`) was hit.
+    `hjac.MAX_CELLS`, `hjac.MAX_EXPANSION_BITS`, `hilbert.MAX_MONOMIALS`) was hit.
 
     Raised from the elimination in `limits.limit_ideal`, it carries the minor
     table as `minors`, and the names of the u variables, one per minor, as `u_ring`.

@@ -30,6 +30,7 @@ from .polynomial import Polynomial, _collect, grevlex, lex, make_point
 
 MAX_MINORS = 1_000_000  # the cap on a minor table's size; x*y - z^4 at n=3 has 92,378
 MAX_CELLS = 250_000  # the cap on a matrix's M*(N-1) cells; the cusp at n=30 has 230,175
+MAX_EXPANSION_BITS = 4_000_000  # the cap on F(x + p)'s bits; x^4 - y at a 1,200-digit x, 79,759
 
 
 class PointNotOnHypersurfaceError(ValueError):
@@ -110,13 +111,23 @@ def _taylor_at(F: Polynomial, point, degree: int | None = None) -> tuple[dict, i
     rational p: the terms of F(x + p), as integer numerators over one scale S = L*q^D,
     L = F.den, q the lcm of the denominators of p, a = q*p and D = deg F.  The numerator
     at gamma sums c*C(m, gamma)*a^(m - gamma)*q^(D - |m - gamma|) over the numerators
-    c*x^m of F."""
+    c*x^m of F.  An expansion that could hold more than MAX_EXPANSION_BITS bits, as
+    bounded from the terms of F and the bits of q and a, is refused before it starts."""
     point = make_point(point)
     if len(point) != F.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, expected {F.num_vars}")
     q = math.lcm(*(x.denominator for x in point))
     a = [x.numerator * (q // x.denominator) for x in point]
     D = max(map(sum, F.numerators), default=0)
+    # a term c*x^m adds at most bits(c) + |m| + D*k bits to at most prod(m_i + 1) values:
+    # C(m, gamma) <= 2^|m|, and q and every |a_i| are at most 2^k
+    k = (max(q, *map(abs, a)) - 1).bit_length()
+    most = math.inf if degree is None else math.comb(degree + len(a), len(a))
+    bits = sum(min(math.prod(e + 1 for e in m), most) * (c.bit_length() + sum(m) + D * k)
+               for m, c in F.numerators.items())
+    if bits > MAX_EXPANSION_BITS:
+        raise BudgetExceededError(
+            f"expansion: F(x + p) could hold {bits:,} bits, over {MAX_EXPANSION_BITS:,}")
     return _collect((gamma, c * binom * q ** (D - sum(rest))
                      * math.prod(x**e for x, e in zip(a, rest) if e))
                     for mono, c in F.numerators.items()

@@ -70,7 +70,10 @@ def limit_ideal(
 
     With F and the maximal minors Delta_J translated to the center, the
     paper's route eliminates t from A = <F, u_J - t*Delta_J> in (t, x, u)
-    and sets x = 0.  This runs it over the mu free u's only:
+    and sets x = 0.  The center is checked first, on the translate F(x + c)
+    before any minor is built: no term of degree 0 (it lies on V(F)) and none
+    of degree 1 (it is singular: the matrix drops rank exactly where F has
+    order 2 or more).  The route then runs over the mu free u's only:
 
     1. `_degree_one` splits the u's into the free ones, whose minors are a
        basis of I/(m*I + (F)), and linear generators u_J - sum c_Jf*u_f
@@ -93,11 +96,11 @@ def limit_ideal(
     shifted = translate_to_origin(F, center)
     if shifted.constant_term():  # F(center)
         raise PointNotOnHypersurfaceError("center is not on the hypersurface")
-    minors = tuple(maximal_minors(shifted, n))
-    # the center is singular iff every maximal minor vanishes there
-    if any(delta.constant_term() for _, delta in minors):
+    # the center is singular iff F has order at least 2 there
+    if any(sum(m) == 1 for m in shifted.numerators):
         raise SingularPointError("limits of higher tangent spaces are computed at singular centers")
-    unames = tuple(_fresh(f"u_{k}", F.ring) for k in range(1, len(minors) + 1))
+    minors = tuple(maximal_minors(shifted, n))
+    unames = u_names(F.ring, len(minors))
     free, linear = _degree_one(shifted, [delta for _, delta in minors], unames)
     free_names = tuple(unames[k] for k in free)
     tname = _fresh("t", F.ring)
@@ -120,8 +123,7 @@ def limit_ideal(
         numerators = {m[s:]: c for m, c in g.numerators.items() if not any(m[:s])}
         if numerators:
             projected.append(Polynomial._over(free_names, numerators, g.den))
-    reduced = buchberger(projected, grevlex(), free_names) if projected else []
-    generators = linear + [g.to_ring(unames) for g in reduced]
+    generators = linear + [g.to_ring(unames) for g in buchberger(projected, grevlex(), free_names)]
     return LimitIdealResult(
         F=F,
         n=n,
@@ -133,14 +135,20 @@ def limit_ideal(
     )
 
 
+def u_names(ring, count: int) -> tuple[str, ...]:
+    """u_1, ..., u_count, the names of the minors' Plucker coordinates in
+    the order of the minor table, each made fresh (`u_1_0`, ...) where the
+    ring of F already holds it."""
+    return tuple(_fresh(f"u_{k}", ring) for k in range(1, count + 1))
+
+
 def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     """(free, linear): the positions of the free minors, ascending, and the
     monic linear generators of the limit ideal, one per other position.
 
     The remainders of the Delta_J modulo G, the grevlex basis of F and
     every x_i*g for g in the grevlex basis of (F) + I, are their classes in
-    I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F); a g that is F up to
-    a scalar is skipped, as x_i*F lies in (F).  One division pass gives each
+    I/(m*I + (F)), since (F) + m*((F) + I) = m*I + (F).  One division pass gives each
     as integer terms r over a denominator d, and `linalg._reduced` gives the
     rref of the int columns r*(D/d), D the lcm of the d, as ints over one d.
     In reverse u order, its pivots are the free minors latest in that order,
@@ -149,11 +157,8 @@ def _degree_one(shifted: Polynomial, deltas: list[Polynomial], unames):
     entries, the rref never forms the lambda x lambda relation kernel."""
     order = grevlex()
     ring = shifted.ring
-    # the basis is monic, so F enters it, if at all, as F made monic
-    monic = Polynomial._over(ring, shifted.numerators,
-                             shifted.numerators[shifted.leading_monomial(order)])
     G = buchberger([shifted] + [x * g for g in buchberger([shifted] + deltas, order, ring)
-                                if g != monic for x in Polynomial.variables(ring)], order, ring)
+                                for x in Polynomial.variables(ring)], order, ring)
     remainders = _remainders(reversed(deltas), G, order, ring)
     scale = math.lcm(*(d for _, d in remainders))
     columns = [(r, scale // d) for r, d in remainders]

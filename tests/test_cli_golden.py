@@ -36,6 +36,7 @@ FILES = {"gens.txt": "x^2 - y\nx*y - 1\n", "empty.txt": "\n", "bad.txt": "x^2 - 
 CUSP = ("--poly", "x^3-y^2", "--vars", "x,y")
 SURFACE = ("--poly", "x*y-z^4", "--vars", "x,y,z")
 JSON = ("--format", "structured")
+U_NAMED = ("--poly", "u_1*x - y^2", "--vars", "u_1,x,y")  # a variable named as the first u
 
 
 def _limits(poly, *extra):
@@ -69,6 +70,8 @@ CASES = {
     "singular-point-grammar": ("singular", *CUSP, "-n", "1", "--point", "1e3000000,0", *JSON),
     "singular-off-surface-digits": ("singular", "--poly", "x^4-y", "--vars", "x,y", "-n", "1",
                                     "--point", "9" * 1200 + ",0", *JSON),
+    "singular-expansion-cap": ("singular", "--poly", "x^1000000*y", "--vars", "x,y", "-n", "1",
+                               "--point", "3/2,0", *JSON),
     "singular-arity": ("singular", *CUSP, "-n", "2", "--point", "1", *JSON),
     # tangent
     "tangent": ("tangent", *CUSP, "-n", "2", "--point", "1,1", *JSON),
@@ -84,12 +87,14 @@ CASES = {
     "minors-cap": ("minors", *SURFACE, "-n", "4", *JSON),
     "minors-partial-cap": ("minors", *CUSP, "-n", "6", *JSON),
     "minors-constant": ("minors", "--poly", "5", "--vars", "x,y", "-n", "1", *JSON),
+    "minors-u-named-variable-text": ("minors", *U_NAMED, "-n", "1"),
     # nashideal
     "nashideal-surface": ("nashideal", *SURFACE, "-n", "2", *JSON),
     "nashideal-cusp": ("nashideal", *CUSP, "-n", "2", *JSON),
     "nashideal-cusp-text": ("nashideal", *CUSP, "-n", "2"),
     "nashideal-order-0": ("nashideal", *CUSP, "-n", "0", *JSON),
     "nashideal-constant": ("nashideal", "--poly", "5", "--vars", "x,y", "-n", "1", *JSON),
+    "nashideal-u-named-variable-text": ("nashideal", *U_NAMED, "-n", "1"),
     # limits
     "limits-cusp": _limits("x^3-y^2", *JSON),
     "limits-cusp-text": _limits("x^3-y^2"),
@@ -110,11 +115,20 @@ CASES = {
                                            "-n", "1", "--point", "0,0", *JSON),
     "limits-u-named-variable-budget": ("limits", "--poly", "u_1^3-y^2", "--vars", "u_1,y",
                                        "-n", "1", "--point", "0,0", "--max-pairs", "0"),
+    "limits-u-named-variable-minors-text": ("limits", *U_NAMED, "-n", "1", "--point", "0,0,0"),
     "limits-smooth-center": ("limits", *CUSP, "-n", "2", "--point", "1,1", *JSON),
     "limits-off-surface": ("limits", *CUSP, "-n", "2", "--point", "1,2", *JSON),
     "limits-off-surface-order-0": ("limits", *CUSP, "-n", "0", "--point", "1,2", *JSON),
     "limits-minors-cap": ("limits", *SURFACE, "-n", "4", "--point", "0,0,0", *JSON),
     "limits-minors-cap-text": ("limits", *SURFACE, "-n", "4", "--point", "0,0,0"),
+    "limits-smooth-surface-center": ("limits", "--poly", "x*y - z^4 + x", "--vars", "x,y,z",
+                                     "-n", "3", "--point", "0,0,0", *JSON),
+    "limits-smooth-E8-center": ("limits", "--poly", "x^2 + y^3 + z^5 + y", "--vars", "x,y,z",
+                                "-n", "3", "--point", "0,0,0", *JSON),
+    "limits-smooth-center-minors-cap": ("limits", "--poly", "x*y - z^4 + x", "--vars", "x,y,z",
+                                        "-n", "4", "--point", "0,0,0", *JSON),
+    "limits-expansion-cap": ("limits", "--poly", "x^10000*y", "--vars", "x,y", "-n", "1",
+                             "--point", "3/2,0", *JSON),
     # hilbert
     "hilbert-monomials": ("hilbert", "--monomials", "x^2,y^2", "-n", "3", *JSON),
     "hilbert-monomials-vars": ("hilbert", "--monomials", "x^2", "--vars", "x,y",

@@ -4,10 +4,10 @@ it keeps no private helper that nothing calls, one helper alone pauses the
 cyclic garbage collector, and one pass in groebner divides by a basis, with
 no substitution, on packed-int monomials and no tuple arithmetic, whose
 `_Packing` is the one bit layout of exponents, the minors' too.  Only the
-polynomials and the parser read a polynomial's Fraction view `terms`; the rest
-reads its integer numerators, and only polynomial.py calls the public
-`Polynomial(...)` constructor.  The CLI reads the inputs of its six commands on
-one polynomial in one reader.
+polynomials read a polynomial's Fraction view `terms`; the rest reads its
+integer numerators, and only polynomial.py calls the public `Polynomial(...)`
+constructor.  The CLI reads the inputs of its six commands on one polynomial in
+one reader, and names no u variable itself.
 Neither the engine nor the tests read the environment, so the suite runs
 one configuration."""
 
@@ -265,6 +265,26 @@ def test_cli_reads_polynomial_inputs_in_one_reader():
     assert "_add_common" not in defined
 
 
+def string_literals(source: str, part: str) -> list[tuple[int, str]]:
+    """(line, text), sorted, of every string constant in `source` that holds
+    `part`: docstrings and the literal pieces of f-strings included."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and part in node.value)
+
+
+def test_string_literals_fixture():
+    source = ('"""Names u_1, u_2."""\nNAME = "t"\ndef f(k, ring):\n'
+              '    return f"u_{k}", fresh("u_", ring), ring.u_names\n')
+    assert string_literals(source, "u_") == [(1, "Names u_1, u_2."), (4, "u_"), (4, "u_")]
+
+
+def test_cli_names_no_u_variable_itself():
+    # the minor listings of minors, nashideal and limits take their u's from
+    # `limits.u_names`, the rule that names them in the limit ideal
+    assert string_literals((ENGINE / "cli.py").read_text(), "u_") == []
+
+
 def attribute_reads(sources: dict[str, str], attr: str) -> list[tuple[str, int]]:
     """(module, line), sorted, of every read of the attribute `attr` in the
     modules of `sources` (module -> text); a store is not a read."""
@@ -287,7 +307,7 @@ def test_engine_reads_numerators_not_the_fraction_view():
     # den, so no Fraction makes a round trip between two of its steps
     sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
     assert [(module, line) for module, line in attribute_reads(sources, "terms")
-            if module not in ("polynomial.py", "parser.py")] == []
+            if module != "polynomial.py"] == []
     assert references(sources, {"_from_terms"}) == []
     assert "_cleared" not in {node.name for node in ast.walk(ast.parse(sources["groebner.py"]))
                               if isinstance(node, ast.FunctionDef)}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nashblowup import hjac, linalg
 from nashblowup import multiindex as mi
 from nashblowup.groebner import BudgetExceededError, Ideal, ideal_equal, normal_form
+from nashblowup.hilbert import nonsingular_by_dimension
 from nashblowup.hjac import (
     PointNotOnHypersurfaceError,
     SingularPointError,
@@ -376,6 +377,38 @@ def test_taylor_at_is_the_translate_in_integers(data, degree):
     expected = {g: c for g, c in translate(F, p).terms.items()
                 if degree is None or sum(g) <= degree}
     assert {g: Fraction(v, scale) for g, v in values.items()} == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.sampled_from([("x",), RING2, RING3]).flatmap(
+           lambda ring: st.tuples(rational_polynomials(ring), rational_points(ring))),
+       degree=st.one_of(st.none(), st.integers(0, 4)))
+def test_the_expansion_cap_bounds_the_bits_the_expansion_holds(data, degree):
+    # the estimate is an upper bound: a cap one bit below what the values hold refuses them
+    F, p = data
+    values, _ = hjac._taylor_at(F, p, degree)
+    held = sum(v.bit_length() for v in values.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hjac, "MAX_EXPANSION_BITS", held - 1)
+        with pytest.raises(BudgetExceededError, match="^expansion: "):
+            hjac._taylor_at(F, p, degree)
+
+
+def test_an_oversized_expansion_is_refused_before_it_starts(monkeypatch):
+    # x^1000000*y at (3/2, 0): q = 2 and a = (3, 0) are at most 2^2, so each value of
+    # F(x + p) is bounded by 1 + 1,000,001*3 bits; the pointwise queries expand to degree 1,
+    # 3 values, and the translate in full, 1,000,001*2; all refuse from F's terms alone
+    monkeypatch.setattr(mi, "binomial_terms", lambda *args: pytest.fail("F was expanded"))
+    F = P("x^1000000*y", RING2)
+    p = (Fraction(3, 2), 0)
+    for call, bits in ((lambda: rank_at(F, 1, p), "9,000,012"),
+                       (lambda: tangent_space(F, 1, p), "9,000,012"),
+                       (lambda: nonsingular_by_dimension(F, 1, p), "9,000,012"),
+                       (lambda: translate_to_origin(F, p), "6,000,014,000,008"),
+                       (lambda: limit_ideal(F, 1, p), "6,000,014,000,008")):
+        with pytest.raises(BudgetExceededError) as info:
+            call()
+        assert str(info.value) == f"expansion: F(x + p) could hold {bits} bits, over 4,000,000"
 
 
 def test_pointwise_queries_need_no_fraction_arithmetic_and_no_symbolic_table(monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from nashblowup import groebner, limits, linalg
 from nashblowup.groebner import (BudgetExceededError, Ideal, buchberger, eliminate, ideal_equal,
                                  normal_form)
-from nashblowup.hjac import PointNotOnHypersurfaceError, SingularPointError, maximal_minors
+from nashblowup.hjac import (PointNotOnHypersurfaceError, SingularPointError, is_singular,
+                             maximal_minors)
 from nashblowup.limits import containment_oracle, describe_planes, limit_ideal, translate_to_origin
 from nashblowup.parser import parse_polynomial
 from nashblowup.polynomial import Polynomial, grevlex
@@ -19,6 +20,7 @@ from nashblowup.polynomial import Polynomial, grevlex
 from conftest import P, as_sympy, graph_ideal_limit, sympy_rref
 
 RING2 = ("x", "y")
+RING3 = ("x", "y", "z")
 
 CUSP = "x^3 - y^2"
 NODE = "x^3 + x^2 - y^2"
@@ -50,6 +52,52 @@ def test_order_is_checked_before_the_center():
 def test_center_must_be_singular():
     with pytest.raises(SingularPointError):
         limit_ideal(P(CUSP, RING2), 2, (1, 1))
+
+
+@pytest.mark.parametrize("text, ring, center, n", [
+    (CUSP, RING2, (1, 1), 2),
+    ("x*y - z^4 + x", RING3, (0, 0, 0), 3),
+    ("x^2 + y^3 + z^5 + y", RING3, (0, 0, 0), 3),
+    ("x*y - z^4 + x", RING3, (0, 0, 0), 4),  # a table maximal_minors would refuse
+], ids=["cusp", "A3-3", "E8-3", "A3-4"])
+def test_a_non_singular_center_is_refused_before_any_minor(text, ring, center, n, monkeypatch):
+    # the translate has a term of degree 1, which decides it: no minor is built
+    monkeypatch.setattr(limits, "maximal_minors", lambda *args: pytest.fail("minors were built"))
+    with pytest.raises(SingularPointError, match="computed at singular centers"):
+        limit_ideal(P(text, ring), n, center)
+
+
+def on_hypersurface(ring):
+    """(F, p): F(x) = G(x - p) for G of degree 2..3 with small integer
+    coefficients, no constant term and, about half the time, no linear term,
+    and p a rational point, so that p lies on V(F) and is often singular."""
+    def monomials(low, high):
+        return st.lists(st.integers(0, len(ring) - 1), min_size=low, max_size=high).map(
+            lambda idx: tuple(idx.count(i) for i in range(len(ring))))
+
+    coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    linear = st.one_of(st.just({}), st.dictionaries(monomials(1, 1), coeffs, max_size=2))
+    higher = st.dictionaries(monomials(2, 3), coeffs, min_size=1, max_size=3)
+    point = st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))] * len(ring))
+    return st.tuples(linear, higher, point).map(lambda lhp: (translate_to_origin(
+        Polynomial(ring, lhp[0] | lhp[1]), tuple(-c for c in lhp[2])), lhp[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(st.tuples(on_hypersurface(RING2), st.integers(1, 2)),
+                      st.tuples(on_hypersurface(RING3), st.just(1))))
+def test_limit_ideal_refuses_exactly_the_non_singular_centers(case):
+    # the order rule on the translate agrees with the rank test; a singular
+    # center that runs out of its budget was not refused
+    (F, center), n = case
+    try:
+        limit_ideal(F, n, center, max_pairs=40)
+        refused = False
+    except SingularPointError:
+        refused = True
+    except BudgetExceededError:
+        refused = False
+    assert refused == (not is_singular(F, n, center))
 
 
 def test_budget_propagates():
@@ -199,27 +247,6 @@ def test_limit_ideal_is_returned_in_increasing_leading_term(text, ring):
     key = order.key_func(result.u_ring)
     keys = [key(g.leading_monomial(order)) for g in gens]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
-
-
-@pytest.mark.parametrize("text", CURVES)
-def test_degree_one_leaves_out_the_multiples_of_F(text, monkeypatch):
-    # x_i*F lies in (F), so it is not handed to the basis of m*I + (F), on
-    # the four curves whose basis of (F) + I holds F and on the node
-    F = P(text, RING2)
-    deltas = [delta for _, delta in maximal_minors(F, 2)]
-    calls = []
-    buchberger = limits.buchberger
-    monkeypatch.setattr(limits, "buchberger", lambda gens, *args: (
-        calls.append(list(gens)) or buchberger(gens, *args)))
-    limits._degree_one(F, deltas, tuple(f"u_{k}" for k in range(1, len(deltas) + 1)))
-    order = grevlex()
-
-    def monic(g):
-        return g.scalar_mul(1 / g.terms[g.leading_monomial(order)])
-
-    _, multiples = calls
-    assert multiples[0] == F and len(multiples) > 1
-    assert not {monic(x * F) for x in Polynomial.variables(RING2)} & set(map(monic, multiples))
 
 
 @pytest.mark.parametrize("text, ring", [("1/2*x^3 - 2/3*y^2 + x*y^2", RING2),
