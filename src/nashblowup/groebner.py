@@ -414,14 +414,13 @@ def eliminate(
     basis = buchberger(I.generators, elimination_order(drop), ring,
                        max_pairs=max_pairs, max_reductions=max_reductions)
     dropped_idx = [ring.index(v) for v in drop]
-    return Ideal(keep, [g.to_ring(keep) for g in basis
+    return Ideal(keep, [g for g in basis
                         if not any(m[i] for m in g.numerators for i in dropped_idx)])
 
 
 def ideal_membership(f: Polynomial, I: Ideal, order: MonomialOrder | None = None) -> bool:
     """True iff f lies in I."""
-    if f.ring != I.ring:
-        f = f.to_ring(I.ring)
+    f = f.to_ring(I.ring)
     if f.is_zero():
         return True
     basis = buchberger(I.generators, order, I.ring)
@@ -438,8 +437,7 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder | None = None) -> bool:
 def radical_membership(f: Polynomial, I: Ideal, **budget) -> bool:
     """True iff f vanishes on V(I), via the Rabinowitsch trick:
     f in sqrt(I) iff 1 in <I, 1 - w*f> for a fresh variable w."""
-    if f.ring != I.ring:
-        f = f.to_ring(I.ring)
+    f = f.to_ring(I.ring)
     if f.is_zero():
         return True
     w = _fresh("w_rad", I.ring)

@@ -74,7 +74,7 @@ def local_hilbert(F: Polynomial, n: int) -> int:
     """
     if F.is_zero():
         raise ValueError("F must be nonzero")
-    if F.constant_term():
+    if (0,) * F.num_vars in F.numerators:
         raise PointNotOnHypersurfaceError("F(0) != 0: the origin is not on the hypersurface")
     if n < 0:
         raise ValueError("degree must be non-negative")

@@ -26,7 +26,7 @@ from itertools import combinations
 from . import linalg
 from . import multiindex as mi
 from .groebner import BudgetExceededError, Ideal, _Packing, buchberger, normal_form
-from .polynomial import Polynomial, _collect, grevlex, lex, make_point
+from .polynomial import Polynomial, _collect, _lcd, grevlex, lex, make_point
 
 MAX_MINORS = 1_000_000  # the cap on a minor table's size; x*y - z^4 at n=3 has 92,378
 MAX_CELLS = 250_000  # the cap on a matrix's M*(N-1) cells; the cusp at n=30 has 230,175
@@ -113,11 +113,9 @@ def _taylor_at(F: Polynomial, point, degree: int | None = None) -> tuple[dict, i
     at gamma sums c*C(m, gamma)*a^(m - gamma)*q^(D - |m - gamma|) over the numerators
     c*x^m of F.  An expansion that could hold more than MAX_EXPANSION_BITS bits, as
     bounded from the terms of F and the bits of q and a, is refused before it starts."""
-    point = make_point(point)
-    if len(point) != F.num_vars:
-        raise ValueError(f"point has {len(point)} coordinates, expected {F.num_vars}")
-    q = math.lcm(*(x.denominator for x in point))
-    a = [x.numerator * (q // x.denominator) for x in point]
+    a, q = _lcd(point)
+    if len(a) != F.num_vars:
+        raise ValueError(f"point has {len(a)} coordinates, expected {F.num_vars}")
     D = max(map(sum, F.numerators), default=0)
     # a term c*x^m adds at most bits(c) + |m| + D*k bits to at most prod(m_i + 1) values:
     # C(m, gamma) <= 2^|m|, and q and every |a_i| are at most 2^k
@@ -152,16 +150,15 @@ def _shown(x: Fraction) -> str:
 
 
 def _integer_rows_at(jac: HigherJacobian, point) -> tuple[list[list[int]], int]:
-    """The evaluated matrix as int rows over d = S/gcd(S, numerators) > 0, the lcd of its
-    entries, as each nonzero Taylor value sits in row 0; p must lie on the hypersurface."""
+    """The evaluated matrix as int rows over d > 0, the lcd of its entries: each nonzero Taylor
+    value sits in row 0, so `Polynomial._over` of them gives d; p must lie on the hypersurface."""
     values, scale = _taylor_at(jac.F, point, jac.n)
     if (value := values.get((0,) * jac.F.num_vars)) is not None:
         at = ", ".join(map(_shown, make_point(point)))
         raise PointNotOnHypersurfaceError(f"F({at}) = {_shown(Fraction(value, scale))} != 0")
-    table = [values.get(gamma, 0) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [0]
-    g = math.gcd(scale, *table)
-    table = [v // g for v in table]
-    return [list(map(table.__getitem__, row)) for row in jac.cells], scale // g
+    lowest = Polynomial._over(jac.F.ring, values, scale)
+    table = [lowest.numerators.get(gamma, 0) for gamma in _layout(jac.F.num_vars, jac.n)[2]] + [0]
+    return [list(map(table.__getitem__, row)) for row in jac.cells], lowest.den
 
 
 def evaluate_at(jac: HigherJacobian, point) -> list[list[Fraction]]:

@@ -94,7 +94,7 @@ def limit_ideal(
     _check_input(F, n)  # input errors before the center's precondition
     center = make_point(center)
     shifted = translate_to_origin(F, center)
-    if shifted.constant_term():  # F(center)
+    if (0,) * F.num_vars in shifted.numerators:  # F(center) != 0
         raise PointNotOnHypersurfaceError("center is not on the hypersurface")
     # the center is singular iff F has order at least 2 there
     if any(sum(m) == 1 for m in shifted.numerators):
@@ -185,7 +185,7 @@ def containment_oracle(result: LimitIdealResult) -> bool:
     modulo F and setting x = 0 turns each generator g into g(0); this test is
     that computation.  It does not show that a generator lies in the limit
     ideal."""
-    return not any(g.constant_term() for g in result.generators)
+    return not any((0,) * g.num_vars in g.numerators for g in result.generators)
 
 
 # -- zero-set reporting --------------------------------------------------------
@@ -230,7 +230,7 @@ def _factors(g: Polynomial) -> list[Polynomial] | None:
 def _linear_row(g: Polynomial) -> list[int] | None:
     """The numerators of a linear form, ints spanning the same line, or None
     when g has a constant term (its zero set is affine, not a linear subspace)."""
-    if g.constant_term():
+    if (0,) * g.num_vars in g.numerators:
         return None
     row = [0] * g.num_vars
     for mono, c in g.numerators.items():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .polynomial import _coerce_scalar
+from .polynomial import _lcd
 
 Vector = list[Fraction]
 
@@ -71,13 +71,7 @@ def _cleared(rows: Sequence[Sequence]) -> list[list[int]]:
     for row in rows:
         if len(row) != width:
             raise ValueError(f"rows of widths {width} and {len(row)} in one matrix")
-        types = {*map(type, row)}
-        if not types <= {int}:
-            exact = row if types <= {int, Fraction} else map(_coerce_scalar, row)
-            ratios = [x.as_integer_ratio() for x in exact]
-            denom = lcm(*[d for _, d in ratios])
-            row = [n for n, _ in ratios] if denom == 1 else [n * (denom // d) for n, d in ratios]
-        work.append(row)
+        work.append(row if {*map(type, row)} <= {int} else _lcd(row)[0])
     return work
 
 

@@ -33,6 +33,13 @@ def _coerce_scalar(c) -> Fraction:
     raise TypeError(f"not an exact rational scalar: {c!r}")
 
 
+def _lcd(values: Iterable) -> tuple[list[int], int]:
+    """Exact rationals as ints over their lcd d > 0; anything else raises TypeError."""
+    ratios = [_coerce_scalar(c).as_integer_ratio() for c in values]
+    d = lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 def make_point(coords: Iterable) -> Point:
     return tuple(_coerce_scalar(c) for c in coords)
 
@@ -82,18 +89,15 @@ class Polynomial:
     def __init__(self, ring: Iterable[str], terms: Mapping[tuple, Scalar] | None = None):
         ring = _ring(ring)
         pairs = []
-        if terms:
-            s = len(ring)
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != s:
-                    raise ValueError(f"exponent tuple {mono} has wrong length for ring {ring}")
-                if any(e < 0 for e in mono):
-                    raise ValueError(f"negative exponent in {mono}")
-                pairs.append((mono, _coerce_scalar(coeff)))
-        den = lcm(*(c.denominator for _, c in pairs))
-        canonical = Polynomial._over(
-            ring, _collect((m, c.numerator * (den // c.denominator)) for m, c in pairs), den)
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != len(ring):
+                raise ValueError(f"exponent tuple {mono} has wrong length for ring {ring}")
+            if any(e < 0 for e in mono):
+                raise ValueError(f"negative exponent in {mono}")
+            pairs.append((mono, _coerce_scalar(coeff)))  # refused before the next term
+        numerators, den = _lcd(c for _, c in pairs)
+        canonical = Polynomial._over(ring, _collect(zip([m for m, _ in pairs], numerators)), den)
         self.ring, self.numerators, self.den = ring, canonical.numerators, canonical.den
 
     # -- constructors ------------------------------------------------------
@@ -151,9 +155,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.numerators)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.numerators.get((0,) * len(self.ring), 0), self.den)
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
@@ -224,12 +225,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scalar_mul(self, c: Scalar) -> "Polynomial":
-        c = _coerce_scalar(c)
-        if not c:
-            return Polynomial.zero(self.ring)
-        p = c.numerator
-        return Polynomial._over(self.ring, {m: v * p for m, v in self.numerators.items()},
-                                self.den * c.denominator)
+        (p,), q = _lcd([c])
+        numerators = {m: v * p for m, v in self.numerators.items()} if p else {}
+        return Polynomial._over(self.ring, numerators, self.den * q)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

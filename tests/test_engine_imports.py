@@ -5,9 +5,10 @@ cyclic garbage collector, and one pass in groebner divides by a basis, with
 no substitution, on packed-int monomials and no tuple arithmetic, whose
 `_Packing` is the one bit layout of exponents, the minors' too.  Only the
 polynomials read a polynomial's Fraction view `terms`; the rest reads its
-integer numerators, and only polynomial.py calls the public `Polynomial(...)`
-constructor.  The CLI reads the inputs of its six commands on one polynomial in
-one reader, and names no u variable itself.
+integer numerators, only `polynomial._lcd` splits a rational into them, and
+only polynomial.py calls the public `Polynomial(...)` constructor.  The CLI
+reads the inputs of its six commands on one polynomial in one reader, and
+names no u variable itself.
 Neither the engine nor the tests read the environment, so the suite runs
 one configuration."""
 
@@ -391,3 +392,43 @@ def test_engine_keeps_no_test_only_view():
     exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "evaluate_at" not in exported
+
+
+RATIONAL_PARTS = ("numerator", "denominator", "as_integer_ratio")
+
+
+def attribute_readers(sources: dict[str, str], attrs) -> list[tuple[str, str, str]]:
+    """(module, enclosing module-level def or "", attr), sorted and without
+    repeats, of every read of one of the attributes `attrs` in the modules of
+    `sources` (module -> text), as `attribute_reads` finds them."""
+    found = set()
+    for module, text in sources.items():
+        tops = [top for top in ast.parse(text).body if isinstance(top, ast.FunctionDef)]
+        for attr in attrs:
+            for _, line in attribute_reads({module: text}, attr):
+                found.add((module, next((top.name for top in tops
+                                         if top.lineno <= line <= top.end_lineno), ""), attr))
+    return sorted(found)
+
+
+def test_attribute_readers_fixture():
+    sources = {
+        "a": ("def f(x):\n    return x.numerator\nclass P:\n    def g(self, c):\n"
+              "        return c.denominator\n"),
+        "b": "numerator = 1\ndef h(c):\n    return c.as_integer_ratio(), numerator\n",
+    }
+    assert attribute_readers(sources, RATIONAL_PARTS) == [
+        ("a", "", "denominator"), ("a", "f", "numerator"), ("b", "h", "as_integer_ratio")]
+
+
+def test_engine_splits_rationals_in_one_helper():
+    # `polynomial._lcd` alone turns exact rationals into ints over their lcd;
+    # the rest reads numerators over a den, and only the two functions that
+    # print a number's bit size look inside a Fraction
+    sources = {path.name: path.read_text() for path in sorted(ENGINE.glob("*.py"))}
+    assert {(module, where) for module, where, _ in attribute_readers(sources, RATIONAL_PARTS)} \
+        == {("polynomial.py", "_lcd"), ("hjac.py", "_shown"), ("parser.py", "format_rational")}
+    assert references(sources, {"constant_term"}) == []
+    assert "constant_term" not in {node.name for text in sources.values()
+                                   for node in ast.walk(ast.parse(text))
+                                   if isinstance(node, ast.FunctionDef)}

@@ -254,6 +254,25 @@ def test_buchberger_restarts_wider_when_degrees_outgrow_the_packing(monkeypatch)
     assert widths == [3, 6]
 
 
+def test_buchberger_restarts_wider_when_an_s_polynomial_outgrows_the_packing(monkeypatch):
+    # degree 3 in, so a cap of 7; the lex basis meets x*y + y^4 and y^5 + y,
+    # whose S-polynomial y^8 - x*y has degree 8, so `_spoly_int` refuses it
+    # before forming it, and the restart returns the reference basis
+    spoly, refused = groebner._spoly_int, []
+
+    def recorded(f, g, lcm, K):
+        try:
+            return spoly(f, g, lcm, K)
+        except OverflowError:
+            refused.append(K.width)
+            raise
+
+    monkeypatch.setattr(groebner, "_spoly_int", recorded)
+    gens = [P("x*y^2 - y", RING2), P("x^2 + y^2", RING2)]
+    assert buchberger(gens, lex(), RING2) == reference_basis(gens, lex(), RING2)
+    assert refused == [3]
+
+
 def test_buchberger_edge_cases():
     assert buchberger([], grevlex(), RING2) == []
     assert buchberger([Polynomial.zero(RING2)], grevlex(), RING2) == []

@@ -413,6 +413,8 @@ def test_describe_planes_inconsistent_branch_dropped():
     planes = uplane(["u_1 - u_2", "u_1 + u_2", "u_1^2"], ring)
     # only the origin remains; reported as the zero-dimensional subspace
     assert planes == ((),)
+    # u_1 = 0 leaves the nonzero constant 1: no branch, so no subspace at all
+    assert uplane(["u_1", "u_1^2 + 1"], ring) == ()
 
 
 def test_describe_planes_unsupported_pattern():

@@ -75,6 +75,15 @@ def test_enumerate_counts():
             assert len(mi.enumerate_indices(s, 0, n - 1)) == math.comb(n + s - 1, s)
 
 
+@pytest.mark.parametrize("s, d_min, d_max, message", [
+    (0, 0, 1, "need at least one variable"),
+    (2, 2, 1, "empty degree range: 2 > 1"),
+], ids=["no-variables", "empty-range"])
+def test_enumerate_refuses_an_empty_enumeration(s, d_min, d_max, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mi.enumerate_indices(s, d_min, d_max)
+
+
 def test_enumerate_strict_total_order():
     for s in (1, 2, 3):
         out = mi.enumerate_indices(s, 0, 4)

@@ -57,6 +57,11 @@ def test_unknown_variable():
     assert "w" in str(exc.value)
 
 
+def test_empty_ring():
+    with pytest.raises(ValueError, match="^ring must be nonempty$"):
+        parse_polynomial("x", ())
+
+
 def test_malformed_exponent():
     with pytest.raises(ParseError):
         parse_polynomial("x^-2", RING2)

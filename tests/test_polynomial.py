@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nashblowup.polynomial import (
+    MonomialOrder,
     Polynomial,
     RingMismatchError,
     elimination_order,
@@ -294,3 +296,64 @@ def test_leading_monomial():
     assert f.leading_monomial(lex()) == (2, 1)
     # grevlex agrees here
     assert f.leading_monomial(grevlex()) == (2, 1)
+
+
+# -- scalar operands and refusals ---------------------------------------------
+
+HALF = "1/2*x - y"
+
+
+@pytest.mark.parametrize("operation, expected", [
+    (lambda f: f - 1, "1/2*x - y - 1"),
+    (lambda f: 2 - f, "-1/2*x + y + 2"),
+    (lambda f: 3 * f, "3/2*x - 3*y"),
+    (lambda f: f * Fraction(2, 3), "1/3*x - 2/3*y"),
+    (lambda f: f.scalar_mul(0), "0"),
+], ids=["minus-int", "int-minus", "int-times", "times-fraction", "scalar-mul-zero"])
+def test_scalar_operands(operation, expected):
+    assert_same(operation(P(HALF, RING2)), P(expected, RING2))
+
+
+def test_scalar_equality_and_foreign_operands():
+    f = P(HALF, RING2)
+    assert Polynomial.constant(RING2, 3) == 3 and f != 3
+    assert Polynomial.constant(RING2, Fraction(1, 2)) == Fraction(1, 2)
+    assert f != "x"
+    with pytest.raises(TypeError, match="unsupported operand"):
+        f + "x"
+
+
+REFUSALS = {
+    "empty ring": (lambda f: Polynomial((), {}), ValueError,
+                   "ring needs at least one variable"),
+    "repeated ring": (lambda f: Polynomial(("x", "x")), ValueError,
+                      "duplicate variable names: ('x', 'x')"),
+    "short exponents": (lambda f: Polynomial(RING2, {(1,): 1}), ValueError,
+                        "exponent tuple (1,) has wrong length for ring ('x', 'y')"),
+    "negative exponent": (lambda f: Polynomial(RING2, {(1, -1): 1}), ValueError,
+                          "negative exponent in (1, -1)"),
+    # terms are checked in order, each exponent tuple before its coefficient
+    "float coefficient first": (lambda f: Polynomial(RING2, {(1, 0): 0.5, (1,): 1}), TypeError,
+                                "not an exact rational scalar: 0.5"),
+    "exponents before coefficient": (lambda f: Polynomial(RING2, {(1,): 0.5}), ValueError,
+                                     "exponent tuple (1,) has wrong length for ring ('x', 'y')"),
+    "float scalar": (lambda f: f.scalar_mul(0.5), TypeError, "not an exact rational scalar: 0.5"),
+    "negative power": (lambda f: f ** -1, ValueError, "exponent must be a non-negative integer: -1"),
+    "derivative length": (lambda f: f.derivative((1,)), ValueError,
+                          "multi-index length does not match the ring"),
+    "evaluate length": (lambda f: f.evaluate((1,)), ValueError,
+                        "point dimension does not match the ring"),
+    "float point": (lambda f: f.evaluate((0.5, 1)), TypeError, "not an exact rational scalar: 0.5"),
+    "unknown substitution": (lambda f: f.substitute({"z": 1}), ValueError,
+                             "unknown variable 'z' in ring ('x', 'y')"),
+    "leading monomial of zero": (lambda f: (f - f).leading_monomial(grevlex()), ValueError,
+                                 "the zero polynomial has no leading monomial"),
+    "order kind": (lambda f: MonomialOrder("foo"), ValueError, "unknown order kind 'foo'"),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSALS))
+def test_malformed_input_is_refused(kind):
+    operation, error, message = REFUSALS[kind]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        operation(P(HALF, RING2))
